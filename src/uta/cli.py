@@ -602,6 +602,9 @@ def main(argv=None) -> int:
     except (CliError, WorkspaceError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # exit code 1 means "reject": a crash must not read as one
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

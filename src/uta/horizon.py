@@ -8,7 +8,7 @@ of the state it ends in.  Every machine is total by construction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
 from .partition import Partition
@@ -36,13 +36,15 @@ class MooreMachine:
     start: object
     delta: dict
     out: dict
+    letters: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "delta", dict(self.delta))
         object.__setattr__(self, "out", dict(self.out))
-        qs, al = set(self.states), set(self.alphabet)
+        object.__setattr__(self, "letters", frozenset(self.alphabet))
+        qs, al = set(self.states), self.letters
         if len(qs) != len(self.states) or len(al) != len(self.alphabet):
             raise MachineError("duplicate state or letter")
         if self.start not in qs:
@@ -66,7 +68,7 @@ class MooreMachine:
 def run_word(m: MooreMachine, word) -> object:
     """Output after reading the word from the start state; empty word allowed."""
     q = m.start
-    letters = set(m.alphabet)
+    letters = m.letters
     for a in word:
         if a not in letters:
             raise MachineError(f"letter {a!r} outside alphabet")

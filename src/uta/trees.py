@@ -503,7 +503,7 @@ def apply_term_gmorphism(m: TermGMorphism, t: Tree) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# Bounded enumeration
+# Bounded enumeration over hash-consed trees
 
 
 def _compositions(total: int, max_parts: int):
@@ -518,54 +518,238 @@ def _compositions(total: int, max_parts: int):
             yield (first,) + rest
 
 
-def _atoms(table: SymbolTable, with_hole: bool = False):
-    atoms = [leaf(x) for x in table.leaves] + [op(f) for f in table.operators]
-    if with_hole:
-        atoms.append(HOLE_LEAF)
-    return sorted(atoms, key=render)
+class TreeBank:
+    """Hash-consed trees over one table: each distinct node has an integer id.
 
+    A node is interned as ``(label, is_leaf, child ids)``; its label, leaf
+    flag, child ids, height and canonical rendering are kept in lists
+    indexed by id, and ``index`` maps the triple back to the id.  Equal
+    trees therefore have equal ids.
 
-def _trees_by_size(table: SymbolTable, max_size: int, max_arity):
-    by: dict[int, list] = {1: _atoms(table)}
-    for s in range(2, max_size + 1):
-        bucket = []
-        cap = s - 1 if max_arity is None else min(max_arity, s - 1)
-        for f in table.operators:
+    ``trees`` and ``contexts`` enumerate lazily: the bucket of one size is
+    built only once the bucket before it has been consumed, its renderings
+    are made from the children's, and it is interned in rendering order.
+    A bank that only enumerates trees numbers them 0, 1, 2, ... in
+    (size, rendering) order, children before parents.
+    """
+
+    def __init__(self, table: SymbolTable, max_arity=None):
+        self.table = table
+        self.max_arity = max_arity
+        self.label: list = []
+        self.is_leaf: list = []
+        self.kids: list = []
+        self.height: list = []
+        self.text: list = []
+        self.index: dict = {}
+        self._trees: list = [None]
+        self._contexts: list = [None]
+
+    def trees(self, max_size: int):
+        """Ids of all trees with at most max_size nodes, in enumeration order."""
+        for s in range(1, max_size + 1):
+            yield from self._tree_bucket(s)
+
+    def contexts(self, max_size: int):
+        """Ids of all contexts (exactly one hole) within max_size nodes."""
+        for s in range(1, max_size + 1):
+            yield from self._context_bucket(s)
+
+    def tree(self, i: int, memo=None) -> Tree:
+        """The Tree of an id, rebuilt from its children's (shared via memo)."""
+        if memo is None:
+            memo = {}
+        t = memo.get(i)
+        if t is None:
+            kids = tuple(self.tree(c, memo) for c in self.kids[i])
+            t = memo[i] = Tree(self.label[i], kids, self.is_leaf[i])
+        return t
+
+    def _tree_bucket(self, s: int) -> range:
+        while len(self._trees) <= s:
+            n = len(self._trees)
+            if n == 1:
+                atoms = [(x, x, True, ()) for x in self.table.leaves]
+                atoms += [(f, f, False, ()) for f in self.table.operators]
+                self._trees.append(self._intern(atoms))
+                continue
+
+            def pools(comp):
+                yield [self._trees[c] for c in comp]
+
+            self._trees.append(self._intern(self._nodes(n, pools)))
+        return self._trees[s]
+
+    def _context_bucket(self, s: int) -> range:
+        while len(self._contexts) <= s:
+            n = len(self._contexts)
+            if n == 1:
+                self._contexts.append(self._intern([(HOLE, HOLE, True, ())]))
+                continue
+
+            def pools(comp):
+                for hole_at in range(len(comp)):
+                    yield [
+                        self._contexts[c] if i == hole_at else self._tree_bucket(c)
+                        for i, c in enumerate(comp)
+                    ]
+
+            self._contexts.append(self._intern(self._nodes(n, pools)))
+        return self._contexts[s]
+
+    def _nodes(self, s: int, pools) -> list:
+        """(rendering, label, is_leaf, child ids) of the operator nodes of
+        size s whose children, sized by a composition of s-1, come from the
+        id pools that ``pools(composition)`` yields."""
+        cap = s - 1 if self.max_arity is None else min(self.max_arity, s - 1)
+        text = self.text
+        out = []
+        for f in self.table.operators:
             for comp in _compositions(s - 1, cap):
-                for combo in _cartesian(*(by[c] for c in comp)):
-                    bucket.append(op(f, combo))
-        by[s] = sorted(bucket, key=render)
-    return by
+                for pool in pools(comp):
+                    for kids in _cartesian(*pool):
+                        out.append((f + "(" + ",".join([text[c] for c in kids]) + ")", f, False, kids))
+        return out
+
+    def _intern(self, bucket: list) -> range:
+        """Give each node of a bucket the next id, in rendering order."""
+        bucket.sort()
+        start = len(self.label)
+        ids = range(start, start + len(bucket))
+        if not bucket:
+            return ids
+        texts, labels, leafs, kids = zip(*bucket)
+        height = self.height
+        height.extend([1 + max([height[c] for c in ks]) if ks else 0 for ks in kids])
+        self.index.update(zip(zip(labels, leafs, kids), ids))
+        self.label.extend(labels)
+        self.is_leaf.extend(leafs)
+        self.kids.extend(kids)
+        self.text.extend(texts)
+        return ids
 
 
 def enumerate_trees(table: SymbolTable, max_size: int, max_arity=None):
     """All trees with at most max_size nodes and node arities <= max_arity,
-    each exactly once, ordered by (size, rendering)."""
-    if max_size < 1:
-        return
-    by = _trees_by_size(table, max_size, max_arity)
-    for s in range(1, max_size + 1):
-        yield from by[s]
+    each exactly once, ordered by (size, rendering); built one size at a time."""
+    bank = TreeBank(table, max_arity)
+    built: list = []
+    for i in bank.trees(max_size):
+        built.append(Tree(bank.label[i], tuple([built[c] for c in bank.kids[i]]), bank.is_leaf[i]))
+        yield built[i]
 
 
 def enumerate_contexts(table: SymbolTable, max_size: int, max_arity=None):
     """All contexts (exactly one hole) within the same bounds and order."""
-    if max_size < 1:
-        return
-    trees = _trees_by_size(table, max_size, max_arity)
-    ctx: dict[int, list] = {1: [HOLE_LEAF]}
-    for s in range(2, max_size + 1):
-        bucket = []
-        cap = s - 1 if max_arity is None else min(max_arity, s - 1)
-        for f in table.operators:
-            for comp in _compositions(s - 1, cap):
-                for hole_at in range(len(comp)):
-                    pools = [
-                        ctx[c] if i == hole_at else trees[c]
-                        for i, c in enumerate(comp)
-                    ]
-                    for combo in _cartesian(*pools):
-                        bucket.append(op(f, combo))
-        ctx[s] = sorted(bucket, key=render)
-    for s in range(1, max_size + 1):
-        yield from ctx[s]
+    bank = TreeBank(table, max_arity)
+    memo: dict = {}
+    for i in bank.contexts(max_size):
+        yield bank.tree(i, memo)
+
+
+# ---------------------------------------------------------------------------
+# Abstraction keys by id
+
+
+class KeyParts:
+    """The abstraction key of one kind for the trees of a bank, bottom-up.
+
+    ``add(i)`` computes the parts of tree i from its children's, which must
+    have been added before, and returns i's key over ids: two trees get
+    equal keys exactly when ``abstraction_key`` gives them equal keys.
+    Trees must be added in id order from 0, as ``TreeBank.trees`` yields
+    them.  The parts are lists indexed by tree id: ``segments[j]`` holds
+    the tree id of the depth-j root segment (None at depth 0); ``low``,
+    ``forks`` and ``pieces[j]`` hold set ids, ``sets[id]`` being the
+    frozenset of tree ids of the subtrees of height below ``low_height``,
+    of the depth-``fork_depth`` forks, and of the embedded pieces of height
+    below j.  Equal sets share one id, and a union already made over the
+    same child sets is looked up, not made again.
+    """
+
+    def __init__(self, bank: TreeBank, kind):
+        abstraction_key(HOLE_LEAF, kind)  # the per-tree key's ValueError for a bad kind
+        self.bank = bank
+        depth, self.low_height, self.fork_depth, piece_height = 0, None, None, 0
+        if isinstance(kind, Definite):
+            depth = kind.k
+        elif isinstance(kind, ReverseDefinite):
+            self.low_height = kind.k
+        elif isinstance(kind, GenDefinite):
+            self.low_height, depth = kind.h, kind.k
+        elif isinstance(kind, LocTestable):
+            self.low_height, self.fork_depth, depth = kind.k - 1, kind.k, kind.k
+        else:
+            piece_height = kind.k
+        self.segments: list = [[] for _ in range(depth + 1)]
+        self.low: list = []
+        self.forks: list = []
+        self.pieces: list = [[] for _ in range(piece_height + 1)]
+        self.sets: list = [frozenset()]
+        self._set_ids: dict = {frozenset(): 0}
+        self._unions: dict = {}
+        self._key = {
+            Definite: (self.segments[depth],),
+            ReverseDefinite: (self.low,),
+            GenDefinite: (self.low, self.segments[depth]),
+            LocTestable: (self.low, self.segments[depth - 1], self.forks),
+            PwTestable: (self.pieces[piece_height],),
+        }[type(kind)]
+
+    def _set_id(self, s: frozenset) -> int:
+        sid = self._set_ids.get(s)
+        if sid is None:
+            sid = self._set_ids[s] = len(self.sets)
+            self.sets.append(s)
+        return sid
+
+    def _union(self, sids: tuple) -> int:
+        """Set id of the union of the sets with these ids."""
+        sid = self._unions.get(sids)
+        if sid is None:
+            sets = self.sets
+            sid = self._unions[sids] = self._set_id(frozenset().union(*[sets[x] for x in sids]))
+        return sid
+
+    def add(self, i: int):
+        bank = self.bank
+        label, kids, h = bank.label[i], bank.kids[i], bank.height[i]
+        index, sets = bank.index, self.sets
+        segments = self.segments
+        segments[0].append(None)
+        for j in range(1, len(segments)):
+            if h < j:
+                seg = i
+            elif j == 1:
+                seg = index[(label, False, ())]
+            else:
+                below = segments[j - 1]
+                seg = index[(label, False, tuple([below[c] for c in kids]))]
+            segments[j].append(seg)
+        if self.low_height is not None:
+            low = self.low
+            if h < self.low_height:
+                low.append(self._set_id(frozenset([i]).union(*[sets[low[c]] for c in kids])))
+            else:
+                low.append(self._union(tuple([low[c] for c in kids])))
+        if self.fork_depth is not None:
+            forks = self.forks
+            if h < self.fork_depth - 1:
+                forks.append(0)
+            else:
+                top = segments[self.fork_depth][i]
+                forks.append(self._set_id(frozenset([top]).union(*[sets[forks[c]] for c in kids])))
+        pieces = self.pieces
+        pieces[0].append(0)
+        for j in range(1, len(pieces)):
+            if not kids:
+                pieces[j].append(self._set_id(frozenset([i])))
+                continue
+            memo_key = (label, tuple([pieces[j - 1][c] for c in kids]), tuple([pieces[j][c] for c in kids]))
+            sid = self._unions.get(memo_key)
+            if sid is None:
+                nodes = [index[(label, False, combo)] for combo in _cartesian(*[sets[x] for x in memo_key[1]])]
+                sid = self._unions[memo_key] = self._set_id(frozenset(nodes).union(*[sets[x] for x in memo_key[2]]))
+            pieces[j].append(sid)
+        key = self._key
+        return key[0][i] if len(key) == 1 else tuple([part[i] for part in key])

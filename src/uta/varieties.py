@@ -15,14 +15,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .algebra import RegularAlgebra, Translation, translations
-from .horizon import MooreMachine, reachable_with_witnesses
+from .horizon import MooreMachine, reachable_with_witnesses, run_word
 from .partition import element_label
 from .recognizer import (
     Finite,
     Recognizer,
     RecognizerError,
     complement,
-    eval_of,
     is_finite,
     minimal_value_trees,
     syntactic_of,
@@ -31,12 +30,13 @@ from .trees import (
     HOLE_LEAF,
     Definite,
     GenDefinite,
+    KeyParts,
     LocTestable,
     PwTestable,
     ReverseDefinite,
     SymbolTable,
     Tree,
-    abstraction_key,
+    TreeBank,
     compose,
     enumerate_trees,
     leaf,
@@ -452,27 +452,40 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
     kind's relation does not refine the language's distinguishability
     relation: an unconditional no.  A clean sweep is only evidence up to
     the bounds and is reported as such.
+
+    Trees are enumerated lazily in (size, rendering) order and worked on
+    bottom-up by id: a tree's value is one machine run over its children's
+    values and its key parts are unions and lookups over its children's
+    parts.  The sweep stops at the first conflict, so a refutation costs
+    only the trees up to that one; a yes enumerates the whole bound.  The
+    counterexample pairs the first tree of the key group with the tree
+    that broke it.
     """
     name = kind_name(kind)
     _res, srec = syntactic_of(rec)
+    bank = TreeBank(rec.table, bounds[1])
+    keys = KeyParts(bank, kind)
+    ops, valuation = srec.algebra.ops, srec.valuation
+    labels, is_leaf, kids = bank.label, bank.is_leaf, bank.kids
+    values: list = []
     groups: dict = {}
-    for t in enumerate_trees(rec.table, bounds[0], bounds[1]):
-        key = abstraction_key(t, kind)
-        v = eval_of(srec, t)
-        if key in groups:
-            t0, v0 = groups[key]
-            if v0 != v:
-                return VarietyVerdict(
-                    name,
-                    False,
-                    "refutation",
-                    bounds=tuple(bounds),
-                    counterexample=(t0, t),
-                    parameter=getattr(kind, "k", None),
-                    low_parameter=getattr(kind, "h", None),
-                )
+    for i in bank.trees(bounds[0]):
+        if is_leaf[i]:
+            v = valuation[labels[i]]
         else:
-            groups[key] = (t, v)
+            v = run_word(ops[labels[i]], [values[c] for c in kids[i]])
+        values.append(v)
+        first = groups.setdefault(keys.add(i), i)
+        if values[first] != v:
+            return VarietyVerdict(
+                name,
+                False,
+                "refutation",
+                bounds=tuple(bounds),
+                counterexample=(bank.tree(first), bank.tree(i)),
+                parameter=getattr(kind, "k", None),
+                low_parameter=getattr(kind, "h", None),
+            )
     return VarietyVerdict(
         name,
         True,

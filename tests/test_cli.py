@@ -345,3 +345,19 @@ def test_xml_fixture(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("accept\tinvoices(")
     assert lines[1].startswith("reject")
+
+
+def test_internal_error_exits_2_not_reject(capsys, monkeypatch):
+    # exit code 1 means "reject"; a crash inside a command must not read as one
+    import uta.cli
+
+    def crash(ws, args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(uta.cli._COMMANDS, "recognize", crash)
+    code, out, err = run(
+        capsys, "-w", str(FIXTURES / "parity.uta"), "recognize", "--rec", "parity-odd", "-"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: internal error: RecursionError: maximum recursion depth exceeded"

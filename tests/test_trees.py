@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from uta import (
     size,
     tree_measures,
 )
-from uta.trees import TermError, hole_count, is_context, sort_trees
+from uta.trees import KeyParts, TermError, TreeBank, hole_count, is_context, sort_trees
 
 from helpers import random_gmorphism, random_tree
 
@@ -252,6 +253,64 @@ def test_enumerate_contexts():
         if txt.count("@") == 1:
             alt.add(txt)
     assert {render(p) for p in got} == alt
+
+
+def test_enumeration_is_lazy():
+    bank = TreeBank(TAB, 3)
+    first = list(islice(bank.trees(40), 20))
+    # only the buckets of sizes 1 to 3 (4 + 8 + 48 trees) were built
+    assert first == list(range(20)) and len(bank.label) == 60
+    got = list(islice(enumerate_trees(TAB, 40, 3), 20))
+    assert got == list(enumerate_trees(TAB, 3, 3))[:20]
+    assert list(islice(enumerate_contexts(TAB, 40, 3), 5)) == list(enumerate_contexts(TAB, 3, 3))[:5]
+
+
+def test_tree_bank_ids_follow_the_enumeration():
+    bank = TreeBank(TAB, 3)
+    ids = list(bank.trees(4))
+    trees = list(enumerate_trees(TAB, 4, 3))
+    assert ids == list(range(len(trees)))
+    assert [bank.tree(i) for i in ids] == trees
+    assert [bank.text[i] for i in ids] == [render(t) for t in trees]
+    assert [bank.height[i] for i in ids] == [height(t) for t in trees]
+    assert all(_id_of(bank, t) == i for i, t in enumerate(trees))
+
+
+def _id_of(bank, t):
+    return bank.index[(t.label, t.is_leaf, tuple(_id_of(bank, c) for c in t.children))]
+
+
+def test_key_parts_match_the_per_tree_functions():
+    trees = list(enumerate_trees(TAB, 5, 3))
+    for k in range(5):
+        kinds = [Definite(k), ReverseDefinite(k), PwTestable(k)] + ([LocTestable(k)] if k >= 2 else [])
+        for kind in kinds:
+            bank = TreeBank(TAB, 3)
+            parts = KeyParts(bank, kind)
+            keys = [parts.add(i) for i in bank.trees(5)]
+            assert len(keys) == len(trees)
+
+            def ids(ts):
+                return frozenset(_id_of(bank, s) for s in ts)
+
+            for i, t in enumerate(trees):
+                for j, segments in enumerate(parts.segments):
+                    seg = root_segment(t, j)
+                    assert segments[i] == (None if seg is EMPTY_ROOT else _id_of(bank, seg))
+                if parts.low_height is not None:
+                    assert parts.sets[parts.low[i]] == ids(bounded_subtrees(t, parts.low_height))
+                if parts.fork_depth is not None:
+                    assert parts.sets[parts.forks[i]] == ids(forks(t, parts.fork_depth))
+                for j, pcs in enumerate(parts.pieces):
+                    assert parts.sets[pcs[i]] == ids(pieces(t, j))
+            # the id keys partition the trees as abstraction_key does
+            first_ref: dict = {}
+            first_ids: dict = {}
+            for i, t in enumerate(trees):
+                assert first_ref.setdefault(abstraction_key(t, kind), i) == first_ids.setdefault(keys[i], i)
+    for bad in (LocTestable(1), Definite(None), PwTestable(-1)):
+        with pytest.raises(ValueError):
+            KeyParts(TreeBank(TAB), bad)
 
 
 # ---------------------------------------------------------------------------

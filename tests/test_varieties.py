@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,8 @@ from uta import (
     SymbolTable,
 )
 from uta.oracle import brute_variety_check, make_universe
+from uta.varieties import VarietyVerdict, kind_name
+from uta.workspace import load_workspace
 
 from helpers import (
     PARITY_TABLE,
@@ -365,3 +368,68 @@ def test_verdict_json_shapes():
     assert d2["kind"] == "RDef" and d2["verdict"] == "no"
     assert d2["method"] == "refutation"
     assert "counterexample" in d2
+
+
+# ---------------------------------------------------------------------------
+# The bottom-up probe against the plain per-tree loop
+
+PROBE_KINDS = (
+    [Definite(k) for k in range(4)]
+    + [ReverseDefinite(k) for k in (1, 2, 3)]
+    + [GenDefinite(1, 2)]
+    + [LocTestable(k) for k in (2, 3)]
+    + [PwTestable(k) for k in (1, 2, 3)]
+)
+PROBE_BOUNDS = ((4, 3), (5, 2), (5, 3))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _reference_probe(rec, kind, bounds, memo):
+    """The probe as a plain loop over Tree objects: group every enumerated
+    tree by ``abstraction_key`` and compare ``eval_of`` values in each group.
+
+    ``memo`` keeps what the calls share: the table's trees within the
+    largest bounds, their keys per kind and the recognizer's values, each
+    computed when first needed."""
+    largest = max(PROBE_BOUNDS)
+    trees = _memo(memo, rec.table, lambda: tuple(enumerate_trees(rec.table, *largest)))
+    position = _memo(memo, (rec.table, "position"), lambda: {t: n for n, t in enumerate(trees)})
+    within = _memo(memo, (rec.table, bounds), lambda: [position[t] for t in enumerate_trees(rec.table, *bounds)])
+    keys = _memo(memo, (rec.table, kind), dict)
+    values = _memo(memo, id(rec), dict)
+    _res, srec = syntactic_of(rec)
+    params = dict(bounds=bounds, parameter=getattr(kind, "k", None), low_parameter=getattr(kind, "h", None))
+    groups: dict = {}
+    for n in within:
+        t = trees[n]
+        key = _memo(keys, n, lambda: abstraction_key(t, kind))
+        v = _memo(values, n, lambda: eval_of(srec, t))
+        if key in groups:
+            t0, v0 = groups[key]
+            if v0 != v:
+                return VarietyVerdict(kind_name(kind), False, "refutation", counterexample=(t0, t), **params)
+        else:
+            groups[key] = (t, v)
+    return VarietyVerdict(kind_name(kind), True, "bounded", **params)
+
+
+def _memo(memo, key, make):
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def test_probe_matches_the_per_tree_reference():
+    rng = random.Random(97)
+    recs = [random_recognizer(rng) for _ in range(40)]
+    ws = load_workspace([str(FIXTURES / f) for f in ("parity.uta", "root.uta", "bool.uta", "xml.uta")])
+    recs += list(ws.recognizers.values())
+    memo: dict = {}
+    refuted = 0
+    for rec in recs:
+        for bounds in PROBE_BOUNDS:
+            for kind in PROBE_KINDS:
+                got = saturation_probe(rec, kind, bounds)
+                assert got == _reference_probe(rec, kind, bounds, memo), (rec.table, kind, bounds)
+                refuted += not got.holds
+    assert refuted > 100
