@@ -3,14 +3,15 @@
 Each operator acts on the finite carrier through a word function given by
 a complete Moore machine whose alphabet and outputs are the carrier.  The
 module provides evaluation, generated closures, products, derived and
-quotient algebras, congruence and morphism checks, and the tabulated
-monoid of unary translations.
+quotient algebras, congruence and morphism checks, and the unary
+translations: the elementary ones, a lazy breadth-first walk over all of
+them, and the tabulated monoid that walk collects.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .horizon import (
     MooreMachine,
@@ -119,8 +120,9 @@ def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
         if f not in alg.ops:
             raise AlgebraError(f"unknown operator {f!r}")
     current = set(seed)
+    carrier = set(alg.elements)
     for a in current:
-        if a not in set(alg.elements):
+        if a not in carrier:
             raise AlgebraError(f"seed element {element_label(a)} outside carrier")
     changed = True
     while changed:
@@ -138,7 +140,8 @@ def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
 
 def subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
     """Restriction to a closed subset (machines cut to the sub-alphabet)."""
-    sub = tuple(a for a in alg.elements if a in set(subset))
+    keep = set(subset)
+    sub = tuple(a for a in alg.elements if a in keep)
     if generated_closure(alg, alg.sigma, sub) != sub:
         raise AlgebraError("subset is not closed under the operations")
     ops = {f: restrict_machine(alg.ops[f], sub) for f in alg.sigma}
@@ -382,16 +385,20 @@ class TranslationMonoid:
     elements: tuple
     members: tuple
     elementary: dict
+    pos: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", {a: i for i, a in enumerate(self.elements)})
 
     def index(self, a) -> int:
-        return self.elements.index(a)
+        return self.pos[a]
 
     def apply(self, tr: Translation, a):
-        return tr.table[self.elements.index(a)]
+        return tr.table[self.pos[a]]
 
     def compose(self, p: Translation, q: Translation) -> Translation:
         """First p, then q."""
-        pos = {a: i for i, a in enumerate(self.elements)}
+        pos = self.pos
         return Translation(
             tuple(q.table[pos[b]] for b in p.table), p.provenance + q.provenance
         )
@@ -405,7 +412,8 @@ def elementary_translations(alg: RegularAlgebra, f: str) -> tuple:
 
     A pair (reachable state, transition-monoid element) of f's machine
     stands for all (u, v) with those effects, so the set of maps is found
-    in polynomial time; each map keeps one shortest witness pair.
+    without listing words; each map keeps one shortest witness pair.  Their
+    number is at most the reachable states times the transition monoid.
     """
     m = alg.ops[f]
     states, witness = reachable_with_witnesses(m)
@@ -422,26 +430,42 @@ def elementary_translations(alg: RegularAlgebra, f: str) -> tuple:
     return tuple(found.values())
 
 
-def translations(alg: RegularAlgebra) -> TranslationMonoid:
-    """The monoid of all translations: identity and every composition of
-    elementary one-argument wrappings, tabulated with provenance words."""
-    elementary = {f: elementary_translations(alg, f) for f in alg.sigma}
-    gens = [tr for f in alg.sigma for tr in elementary[f]]
+def translation_walk(alg: RegularAlgebra, elementary: dict | None = None):
+    """Every translation once, lazily: the identity first, then breadth-first
+    compositions with the elementary translations (operators in ``sigma``
+    order), each map with the provenance word of its first discovery.
+
+    The walk can be exponentially long (the monoid is a transformation
+    monoid of the carrier); a caller that stops early pays for the prefix
+    only.  ``elementary`` is the per-operator result of
+    ``elementary_translations``, computed here when not given.
+    """
+    if elementary is None:
+        elementary = {f: elementary_translations(alg, f) for f in alg.sigma}
+    gens = [(e.table, e.provenance) for f in alg.sigma for e in elementary[f]]
     pos = {a: i for i, a in enumerate(alg.elements)}
     ident = Translation(tuple(alg.elements), ())
-    found = {ident.table: ident}
-    order = [ident]
+    found = {ident.table}
     queue = deque([ident])
+    yield ident
     while queue:
         p = queue.popleft()
-        for e in gens:
-            table = tuple(e.table[pos[b]] for b in p.table)
+        at = [pos[b] for b in p.table]
+        for step, provenance in gens:
+            table = tuple(map(step.__getitem__, at))
             if table not in found:
-                tr = Translation(table, p.provenance + e.provenance)
-                found[table] = tr
-                order.append(tr)
+                found.add(table)
+                tr = Translation(table, p.provenance + provenance)
                 queue.append(tr)
-    return TranslationMonoid(alg.elements, tuple(order), elementary)
+                yield tr
+
+
+def translations(alg: RegularAlgebra) -> TranslationMonoid:
+    """The monoid of all translations, tabulated with provenance words in
+    the order of ``translation_walk``."""
+    elementary = {f: elementary_translations(alg, f) for f in alg.sigma}
+    members = tuple(translation_walk(alg, elementary))
+    return TranslationMonoid(alg.elements, members, elementary)
 
 
 def describe_translation(tm: TranslationMonoid, tr: Translation) -> str:

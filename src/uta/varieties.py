@@ -7,6 +7,12 @@ iteration index), and finite/co-finite languages.  The remaining classes
 testable) get a sound refutation-plus-bounded-verification probe: a "no"
 is a concrete counterexample and therefore final, while a "yes" is
 evidence up to the stated enumeration bounds and is labeled as such.
+
+Definiteness works on pairs of carrier elements and machine states and
+never lists the translation monoid.  Only aperiodicity walks it, which
+may take exponentially many steps (aperiodicity is PSPACE-complete
+already for automata on words, Cho & Huynh 1991), and it stops at the
+first map with a proper cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import RegularAlgebra, Translation, translations
+from .algebra import (
+    RegularAlgebra,
+    Translation,
+    elementary_translations,
+    translation_walk,
+)
 from .horizon import MooreMachine, reachable_with_witnesses, run_word
 from .partition import element_label
 from .recognizer import (
@@ -127,11 +138,11 @@ class VarietyVerdict:
 # Definiteness
 
 
-def _context_of_translation(tr: Translation, value_trees: dict) -> Tree:
-    """A context realizing a translation, rebuilt from its provenance:
+def _context_of_translation(provenance, value_trees: dict) -> Tree:
+    """A context realizing a translation, rebuilt from its provenance word:
     each step (f, u, v) wraps the hole as f(u-trees, @, v-trees)."""
     ctx = HOLE_LEAF
-    for f, u, v in tr.provenance:
+    for f, u, v in provenance:
         step = op(
             f,
             [value_trees[a] for a in u] + [HOLE_LEAF] + [value_trees[a] for a in v],
@@ -142,12 +153,36 @@ def _context_of_translation(tr: Translation, value_trees: dict) -> Tree:
 
 def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
     """A context whose plugging distinguishes the classes a and b of the
-    syntactic recognizer; exists because its finals are disjunctive."""
-    tm = translations(srec.algebra)
-    for tr in tm.members:
-        va, vb = tm.apply(tr, a), tm.apply(tr, b)
-        if (va in srec.finals) != (vb in srec.finals):
-            return _context_of_translation(tr, value_trees)
+    syntactic recognizer; exists because its finals are disjunctive.
+
+    Breadth-first search over ordered carrier pairs from (a, b), the edges
+    being the elementary translations in operator order; it stops at the
+    first pair the finals split, after at most |carrier|^2 pairs.  Pairs are
+    found in the order in which the translation monoid's breadth-first
+    enumeration first reaches them, with the same provenance, so the context
+    is the one the first separating translation of that enumeration gives.
+    """
+    alg, finals = srec.algebra, srec.finals
+    if (a in finals) != (b in finals):
+        return HOLE_LEAF
+    pos = {x: i for i, x in enumerate(alg.elements)}
+    gens = [
+        (e.table, e.provenance)
+        for f in alg.sigma
+        for e in elementary_translations(alg, f)
+    ]
+    words = {(a, b): ()}
+    queue = deque([(a, b)])
+    while queue:
+        pair = queue.popleft()
+        i, j = pos[pair[0]], pos[pair[1]]
+        for table, provenance in gens:
+            nxt = (table[i], table[j])
+            if nxt not in words:
+                words[nxt] = words[pair] + provenance
+                if (nxt[0] in finals) != (nxt[1] in finals):
+                    return _context_of_translation(words[nxt], value_trees)
+                queue.append(nxt)
     raise RecognizerError("no separating context: finals not disjunctive")
 
 
@@ -170,6 +205,7 @@ def _definite_chain(srec: Recognizer, min_levels: int = 0):
     """
     alg = srec.algebra
     V = alg.elements
+    pos = {a: i for i, a in enumerate(V)}
     levels: list = [None]
 
     r1: dict = {}
@@ -197,7 +233,7 @@ def _definite_chain(srec: Recognizer, min_levels: int = 0):
             return levels, ("diagonal", j)
         if stable_at is not None and j >= min_levels:
             return levels, ("stable", stable_at)
-        pairs = tuple(sorted(cur, key=lambda ab: (V.index(ab[0]), V.index(ab[1]))))
+        pairs = tuple(sorted(cur, key=lambda ab: (pos[ab[0]], pos[ab[1]])))
         nxt: dict = {}
         for f in alg.sigma:
             m = alg.ops[f]
@@ -244,10 +280,10 @@ def _membership_counterexample(srec, levels, value_trees, level) -> tuple[Tree, 
     """Two trees with equal depth-``level`` top segments and different
     membership: realize the first off-diagonal value pair, then wrap both
     sides in a context separating the two values."""
-    V = srec.algebra.elements
+    pos = {a: i for i, a in enumerate(srec.algebra.elements)}
     offender = min(
         (ab for ab in levels[level] if ab[0] != ab[1]),
-        key=lambda ab: (V.index(ab[0]), V.index(ab[1])),
+        key=lambda ab: (pos[ab[0]], pos[ab[1]]),
     )
     s, t = _pair_trees(levels, value_trees, offender, level)
     p = _separating_context(srec, offender[0], offender[1], value_trees)
@@ -269,7 +305,7 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
     if len(V) <= 1:
         return VarietyVerdict("Def", True, "exact", parameter=0)
     if k == 0:
-        finals = sorted(srec.finals, key=V.index)
+        finals = [a for a in V if a in srec.finals]
         non = [a for a in V if a not in srec.finals]
         return VarietyVerdict(
             "Def",
@@ -307,19 +343,21 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
 # Aperiodicity
 
 
-def _power_tail(tm, tr: Translation):
+def _power_tail(pos: dict, tr: Translation):
     """Least n with tr^(n+1) = tr^n, or None if iteration enters a proper
-    cycle.  Terminates because the powers of a map on a finite set repeat."""
-    prev = tm.identity()
-    seen = {prev.table}
+    cycle.  Terminates because the powers of a map on a finite set repeat.
+    ``pos`` numbers the carrier; powers are iterated on those numbers."""
+    step = [pos[b] for b in tr.table]
+    prev = tuple(range(len(step)))
+    seen = {prev}
     n = 0
     while True:
-        cur = tm.compose(prev, tr)
-        if cur.table == prev.table:
+        cur = tuple(map(step.__getitem__, prev))
+        if cur == prev:
             return n
-        if cur.table in seen:
+        if cur in seen:
             return None
-        seen.add(cur.table)
+        seen.add(cur)
         prev = cur
         n += 1
 
@@ -332,12 +370,18 @@ def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
     indistinguishable from n times" collapses to the pointwise condition
     p^(n+1) = p^n on the unary maps.  The reported index is the largest
     tail over the monoid; a map entering a proper cycle refutes.
+
+    The monoid is walked lazily in ``translation_walk`` order, so a *no*
+    costs only the walk up to the first map with a proper cycle; a *yes*
+    visits every translation, which can be exponentially many (the problem
+    is PSPACE-complete already for automata on words).
     """
     _res, srec = syntactic_of(rec)
-    tm = translations(srec.algebra)
+    alg = srec.algebra
+    pos = {a: i for i, a in enumerate(alg.elements)}
     ia = 0
-    for tr in tm.members:
-        tail = _power_tail(tm, tr)
+    for tr in translation_walk(alg):
+        tail = _power_tail(pos, tr)
         if tail is None:
             return VarietyVerdict(
                 "Ap",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from uta import (
     MooreMachine,
@@ -111,6 +112,13 @@ def bool_true() -> Recognizer:
     )
     alg = RegularAlgebra(elements, table.operators, {"disj": orm, "conj": andm})
     return Recognizer(alg, table, {"zero": "0", "one": "1"}, frozenset({"1"}))
+
+
+def subsets(xs):
+    """Every subset of xs as a frozenset, smallest first."""
+    xs = tuple(xs)
+    for r in range(len(xs) + 1):
+        yield from (frozenset(c) for c in combinations(xs, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 from uta import (
     Partition,
@@ -16,13 +15,7 @@ from uta import (
     verify_algebra_gmorphism,
 )
 
-from helpers import parity_algebra, random_algebra, random_table, root_algebra
-
-
-def subsets(xs):
-    xs = tuple(xs)
-    for r in range(len(xs) + 1):
-        yield from (frozenset(c) for c in combinations(xs, r))
+from helpers import parity_algebra, random_algebra, random_table, root_algebra, subsets
 
 
 def enumerate_partitions(universe):
