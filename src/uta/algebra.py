@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from .horizon import (
     MooreMachine,
     WellDefinednessError,
+    _product_reach,
     class_quotient_machine,
     machine_disagreement,
-    map_outputs,
-    premap_letters,
     reachable_with_witnesses,
     restrict_machine,
     run_word,
@@ -90,20 +89,6 @@ def eval_term(alg: RegularAlgebra, valuation: dict, t: Tree) -> object:
         except KeyError:
             raise AlgebraError(f"leaf {t.label!r} has no value") from None
     return apply_symbol(alg, t.label, [eval_term(alg, valuation, c) for c in t.children])
-
-
-def eval_g(alg: RegularAlgebra, iota: dict, valuation: dict, t: Tree) -> object:
-    """Evaluate a tree whose operators are first renamed through iota."""
-    if t.is_leaf:
-        try:
-            return valuation[t.label]
-        except KeyError:
-            raise AlgebraError(f"leaf {t.label!r} has no value") from None
-    try:
-        g = iota[t.label]
-    except KeyError:
-        raise AlgebraError(f"operator {t.label!r} outside iota domain") from None
-    return apply_symbol(alg, g, [eval_g(alg, iota, valuation, c) for c in t.children])
 
 
 def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
@@ -216,19 +201,9 @@ def _related_pairs(elements, theta: Partition):
 def _pair_violation(mf: MooreMachine, mg: MooreMachine, letter_pairs, theta: Partition):
     """Search the two machines run over related letter pairs for a reachable
     output pair that is not theta-related; returns the witness word pair."""
-    start = (mf.start, mg.start)
-    words = {start: ((), ())}
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
+    for (q1, q2), word, _ in _product_reach((mf, mg), letter_pairs):
         if not theta.related(mf.out[q1], mg.out[q2]):
-            return words[(q1, q2)]
-        for a, b in letter_pairs:
-            nxt = (mf.delta[(q1, a)], mg.delta[(q2, b)])
-            if nxt not in words:
-                w1, w2 = words[(q1, q2)]
-                words[nxt] = (w1 + (a,), w2 + (b,))
-                queue.append(nxt)
+            return tuple(a for a, _ in word), tuple(b for _, b in word)
     return None
 
 
@@ -331,9 +306,10 @@ def verify_algebra_gmorphism(
 ):
     """Exact morphism check; returns (ok, witness).
 
-    For each operator f we compare, as complete machines over the source
-    carrier, "apply f then map the value" against "map the letters then
-    apply iota(f)".  A witness is (f, word) where they disagree.
+    For each operator f we run f's machine on a letter a beside iota(f)'s
+    machine on phi(a), comparing "apply f then map the value" against "map
+    the letters then apply iota(f)".  A witness is (f, word) where they
+    disagree.
     """
     if set(iota) != set(src.sigma):
         raise AlgebraError("iota must cover exactly the source operators")
@@ -347,11 +323,11 @@ def verify_algebra_gmorphism(
         if b not in dst_carrier:
             raise AlgebraError(f"phi({element_label(a)}) outside the target carrier")
     for f in src.sigma:
-        lhs = map_outputs(src.ops[f], phi.__getitem__)
-        rhs = premap_letters(dst.ops[iota[f]], src.elements, phi.__getitem__)
-        w = machine_disagreement(lhs, rhs)
-        if w is not None:
-            return False, (f, w)
+        m1, m2 = src.ops[f], dst.ops[iota[f]]
+        letters = tuple((a, phi[a]) for a in m1.alphabet)
+        for (q1, q2), word, _ in _product_reach((m1, m2), letters):
+            if phi[m1.out[q1]] != m2.out[q2]:
+                return False, (f, tuple(a for a, _ in word))
     return True, None
 
 

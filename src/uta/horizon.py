@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product as _cartesian
 
 from .partition import Partition
 
@@ -102,19 +101,29 @@ def restrict_machine(m: MooreMachine, letters) -> MooreMachine:
     return MooreMachine(states, letters, m.start, delta, out)
 
 
-def map_outputs(m: MooreMachine, fn) -> MooreMachine:
-    return MooreMachine(
-        m.states, m.alphabet, m.start, m.delta, {q: fn(m.out[q]) for q in m.states}
-    )
+def _product_reach(machines, letters):
+    """Breadth-first walk over the state tuples the machines reach together.
 
-
-def premap_letters(m: MooreMachine, new_alphabet, fn) -> MooreMachine:
-    """Machine reading new letters a as fn(a); fn must land in m's alphabet."""
-    new_alphabet = tuple(new_alphabet)
-    delta = {
-        (q, a): m.delta[(q, fn(a))] for q in m.states for a in new_alphabet
-    }
-    return MooreMachine(m.states, new_alphabet, m.start, delta, m.out)
+    Each letter is a tuple fed componentwise, one entry per machine.  Yields
+    ``(states, word, successors)`` in discovery order: the state tuple, its
+    shortest word of letters (ties broken by letter order), and its
+    successor under each letter, in letter order.
+    """
+    deltas = [m.delta for m in machines]
+    start = tuple(m.start for m in machines)
+    words = {start: ()}
+    queue = deque([start])
+    while queue:
+        qs = queue.popleft()
+        word = words[qs]
+        successors = []
+        for letter in letters:
+            nxt = tuple(map(dict.__getitem__, deltas, zip(qs, letter)))
+            successors.append(nxt)
+            if nxt not in words:
+                words[nxt] = word + (letter,)
+                queue.append(nxt)
+        yield qs, word, successors
 
 
 def tuple_product_machine(machines, alphabet) -> MooreMachine:
@@ -125,33 +134,15 @@ def tuple_product_machine(machines, alphabet) -> MooreMachine:
     """
     machines = list(machines)
     alphabet = tuple(alphabet)
-    start = tuple(m.start for m in machines)
-    states = [start]
-    seen = {start}
-    queue = deque([start])
+    states = []
     delta = {}
-    while queue:
-        qs = queue.popleft()
-        for letter in alphabet:
-            nxt = tuple(m.delta[(q, a)] for m, q, a in zip(machines, qs, letter))
+    out = {}
+    for qs, _, successors in _product_reach(machines, alphabet):
+        states.append(qs)
+        out[qs] = tuple(m.out[q] for m, q in zip(machines, qs))
+        for letter, nxt in zip(alphabet, successors):
             delta[(qs, letter)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-                queue.append(nxt)
-    out = {qs: tuple(m.out[q] for m, q in zip(machines, qs)) for qs in states}
-    return MooreMachine(tuple(states), alphabet, start, delta, out)
-
-
-def pair_machine(m1: MooreMachine, m2: MooreMachine, letter_pairs) -> MooreMachine:
-    """Two machines run side by side on explicitly paired letters."""
-    return tuple_product_machine([m1, m2], tuple(letter_pairs))
-
-
-def product_machine(m1: MooreMachine, m2: MooreMachine) -> MooreMachine:
-    """Full componentwise product over all letter pairs."""
-    pairs = tuple(_cartesian(m1.alphabet, m2.alphabet))
-    return pair_machine(m1, m2, pairs)
+    return MooreMachine(tuple(states), alphabet, states[0], delta, out)
 
 
 def minimize_moore(m: MooreMachine) -> MooreMachine:
@@ -200,20 +191,12 @@ def minimize_moore(m: MooreMachine) -> MooreMachine:
 
 def machine_disagreement(m1: MooreMachine, m2: MooreMachine):
     """Shortest word on which the two machines output differently, else None."""
-    if set(m1.alphabet) != set(m2.alphabet):
+    if m1.letters != m2.letters:
         raise MachineError("alphabet mismatch")
-    start = (m1.start, m2.start)
-    words = {start: ()}
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
+    letters = tuple((a, a) for a in m1.alphabet)
+    for (q1, q2), word, _ in _product_reach((m1, m2), letters):
         if m1.out[q1] != m2.out[q2]:
-            return words[(q1, q2)]
-        for a in m1.alphabet:
-            nxt = (m1.delta[(q1, a)], m2.delta[(q2, a)])
-            if nxt not in words:
-                words[nxt] = words[(q1, q2)] + (a,)
-                queue.append(nxt)
+            return tuple(a for a, _ in word)
     return None
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     RegularAlgebra,
-    apply_symbol,
     derived_algebra,
     eval_term,
     g_product,
@@ -34,6 +33,7 @@ from .trees import (
     leaf,
     render,
     size,
+    subtrees,
     validate_tree,
 )
 
@@ -64,12 +64,8 @@ class Recognizer:
             raise RecognizerError("accepting set outside the carrier")
 
 
-def _check_tree(rec: Recognizer, t: Tree, allow_hole=False):
-    validate_tree(rec.table, t, allow_hole)
-
-
 def eval_of(rec: Recognizer, t: Tree):
-    _check_tree(rec, t)
+    validate_tree(rec.table, t)
     return eval_term(rec.algebra, rec.valuation, t)
 
 
@@ -79,15 +75,7 @@ def membership(rec: Recognizer, t: Tree) -> bool:
 
 def eval_context(rec: Recognizer, p: Tree, hole_value):
     """Value of a context when its hole is preassigned a carrier element."""
-
-    def go(u: Tree):
-        if u.is_leaf:
-            if u.label == HOLE:
-                return hole_value
-            return rec.valuation[u.label]
-        return apply_symbol(rec.algebra, u.label, [go(c) for c in u.children])
-
-    return go(p)
+    return eval_term(rec.algebra, {**rec.valuation, HOLE: hole_value}, p)
 
 
 def reachable_carrier(rec: Recognizer) -> tuple:
@@ -154,7 +142,7 @@ def union(rec1: Recognizer, rec2: Recognizer) -> Recognizer:
 def context_quotient(rec: Recognizer, p: Tree) -> Recognizer:
     """Recognizer of the trees t with p(t) accepted: keep the algebra and
     valuation, accept the elements the context maps into the old finals."""
-    _check_tree(rec, p, allow_hole=True)
+    validate_tree(rec.table, p, allow_hole=True)
     if not is_context(p):
         raise RecognizerError("context must contain exactly one hole")
     finals = {
@@ -360,7 +348,7 @@ def is_finite(rec: Recognizer):
         reasons = []
         if height(witness) >= h_bound:
             reasons.append(f"height {height(witness)} >= {h_bound}")
-        for sub in _nodes(witness):
+        for sub in subtrees(witness):
             if not sub.is_leaf and len(sub.children) >= w_bounds[sub.label]:
                 reasons.append(
                     f"{sub.label}-node of arity {len(sub.children)} >= {w_bounds[sub.label]}"
@@ -378,12 +366,6 @@ def is_finite(rec: Recognizer):
         t for t in enumerate_trees(trec.table, s - 1, max_arity) if membership(trec, t)
     )
     return Finite(members)
-
-
-def _nodes(t: Tree):
-    yield t
-    for c in t.children:
-        yield from _nodes(c)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .algebra import (
     elementary_translations,
     translation_walk,
 )
-from .horizon import MooreMachine, reachable_with_witnesses, run_word
+from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, run_word
 from .partition import element_label
 from .recognizer import (
     Finite,
@@ -237,17 +237,8 @@ def _definite_chain(srec: Recognizer, min_levels: int = 0):
         nxt: dict = {}
         for f in alg.sigma:
             m = alg.ops[f]
-            start = (m.start, m.start)
-            words = {start: ()}
-            queue = deque([start])
-            while queue:
-                q1, q2 = queue.popleft()
-                nxt.setdefault((m.out[q1], m.out[q2]), ("step", f, words[(q1, q2)]))
-                for a, b in pairs:
-                    t = (m.delta[(q1, a)], m.delta[(q2, b)])
-                    if t not in words:
-                        words[t] = words[(q1, q2)] + ((a, b),)
-                        queue.append(t)
+            for (q1, q2), word, _ in _product_reach((m, m), pairs):
+                nxt.setdefault((m.out[q1], m.out[q2]), ("step", f, word))
         for a in V:
             nxt.setdefault((a, a), ("diag", a))
         if stable_at is None and set(nxt) == set(cur):

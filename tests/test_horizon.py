@@ -11,11 +11,10 @@ from uta import (
     machine_disagreement,
     machines_equivalent,
     minimize_moore,
-    product_machine,
     run_word,
     transition_monoid,
 )
-from uta.horizon import MachineError
+from uta.horizon import MachineError, tuple_product_machine
 
 from helpers import const_machine, parity_machine, random_machine
 
@@ -44,11 +43,12 @@ def test_machine_validation():
 
 
 def test_product_machine():
-    m = product_machine(parity_machine(), parity_machine())
+    pairs = tuple(cartesian(("0", "1"), ("0", "1")))
+    m = tuple_product_machine([parity_machine(), parity_machine()], pairs)
     assert run_word(m, [("1", "1"), ("1", "0")]) == ("0", "1")
     assert run_word(m, []) == ("0", "0")
     one = const_machine("c", ("0", "1"))
-    p = product_machine(parity_machine(), one)
+    p = tuple_product_machine([parity_machine(), one], pairs)
     for w in all_words(("0", "1"), 5):
         paired = [(a, a) for a in w]
         assert run_word(p, paired)[0] == run_word(parity_machine(), w)
