@@ -10,17 +10,24 @@ decisions with concrete witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import deque
+from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 
 from .algebra import (
     RegularAlgebra,
     derived_algebra,
     eval_term,
-    g_product,
     generated_closure,
     subalgebra,
 )
-from .horizon import MooreMachine
+from .horizon import (
+    MooreMachine,
+    _product_reach,
+    reachable_with_witnesses,
+    tuple_product_machine,
+)
 from .syntactic import SyntacticResult, syntactic_algebra
 from .trees import (
     HOLE,
@@ -33,6 +40,7 @@ from .trees import (
     leaf,
     render,
     size,
+    sort_trees,
     subtrees,
     validate_tree,
 )
@@ -108,35 +116,56 @@ def _check_same_table(rec1: Recognizer, rec2: Recognizer):
         raise RecognizerError("recognizers use different symbol tables")
 
 
-def _pair_recognizer(rec1: Recognizer, rec2: Recognizer, finals) -> Recognizer:
-    kappa = {f: (f, f) for f in rec1.table.operators}
-    alg = g_product(kappa, [rec1.algebra, rec2.algebra])
+def _pair_recognizer(rec1: Recognizer, rec2: Recognizer, accept) -> Recognizer:
+    """Product of two recognizers over the pairs some tree evaluates to.
+
+    Starts from the paired valuation and closes it under each operator by
+    walking that operator's machine pair over the pairs found so far, until
+    no new output pair appears: no unreachable pair is built (on-the-fly
+    product construction).  The carrier keeps the cartesian order of the
+    factor carriers; a pair (a, b) is accepting when
+    ``accept(a in F1, b in F2)``.
+    """
+    _check_same_table(rec1, rec2)
+    alg1, alg2 = rec1.algebra, rec2.algebra
+    sigma = tuple(rec1.table.operators)
+    pos1 = {a: i for i, a in enumerate(alg1.elements)}
+    pos2 = {b: i for i, b in enumerate(alg2.elements)}
+
+    def cartesian(pair):
+        return pos1[pair[0]], pos2[pair[1]]
+
     valuation = {
         x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves
     }
-    return Recognizer(alg, rec1.table, valuation, finals)
+    reached = set(valuation.values())
+    grown = True
+    while grown:
+        grown = False
+        letters = tuple(reached)
+        for f in sigma:
+            m1, m2 = alg1.ops[f], alg2.ops[f]
+            for (q1, q2), _, _ in _product_reach((m1, m2), letters):
+                pair = (m1.out[q1], m2.out[q2])
+                if pair not in reached:
+                    reached.add(pair)
+                    grown = True
+    carrier = tuple(sorted(reached, key=cartesian))
+    ops = {
+        f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma
+    }
+    finals = {
+        (a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)
+    }
+    return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
 
 
 def intersect(rec1: Recognizer, rec2: Recognizer) -> Recognizer:
-    _check_same_table(rec1, rec2)
-    finals = {
-        (a, b)
-        for a in rec1.algebra.elements
-        for b in rec2.algebra.elements
-        if a in rec1.finals and b in rec2.finals
-    }
-    return _pair_recognizer(rec1, rec2, finals)
+    return _pair_recognizer(rec1, rec2, operator.and_)
 
 
 def union(rec1: Recognizer, rec2: Recognizer) -> Recognizer:
-    _check_same_table(rec1, rec2)
-    finals = {
-        (a, b)
-        for a in rec1.algebra.elements
-        for b in rec2.algebra.elements
-        if a in rec1.finals or b in rec2.finals
-    }
-    return _pair_recognizer(rec1, rec2, finals)
+    return _pair_recognizer(rec1, rec2, operator.or_)
 
 
 def context_quotient(rec: Recognizer, p: Tree) -> Recognizer:
@@ -200,23 +229,20 @@ def minimal_value_trees(rec: Recognizer) -> dict:
     Fixpoint of size relaxations: leaves seed the map, and each machine is
     relaxed Bellman-Ford style over words of already-valued elements.  Ties
     break toward the lexicographically smaller rendering, so the result is
-    deterministic.
+    deterministic.  Each candidate is rendered once and keeps its rendering.
     """
     alg = rec.algebra
-    best: dict = {}
+    best: dict = {}  # element -> (size, rendering, tree)
 
-    def better(cost_tree, incumbent):
-        if incumbent is None:
+    def offer(a, cand) -> bool:
+        incumbent = best.get(a)
+        if incumbent is None or cand[:2] < incumbent[:2]:
+            best[a] = cand
             return True
-        return (cost_tree[0], render(cost_tree[1])) < (
-            incumbent[0],
-            render(incumbent[1]),
-        )
+        return False
 
     for x in sorted(rec.table.leaves):
-        cand = (1, leaf(x))
-        if better(cand, best.get(rec.valuation[x])):
-            best[rec.valuation[x]] = cand
+        offer(rec.valuation[x], (1, x, leaf(x)))
     changed = True
     while changed:
         changed = False
@@ -240,12 +266,10 @@ def minimal_value_trees(rec: Recognizer) -> dict:
                             dist[q2] = cand
                             improved = True
             for q, (d, w) in dist.items():
-                tree = Tree(f, tuple(best[a][1] for a in w))
-                cand = (1 + d, tree)
-                if better(cand, best.get(m.out[q])):
-                    best[m.out[q]] = cand
+                tree = Tree(f, tuple(best[a][2] for a in w))
+                if offer(m.out[q], (1 + d, render(tree), tree)):
                     changed = True
-    return {a: t for a, (_, t) in best.items()}
+    return {a: t for a, (_, _, t) in best.items()}
 
 
 def min_member(rec: Recognizer):
@@ -279,41 +303,6 @@ class Infinite:
     reason: str
 
 
-def _bound_violation_recognizer(rec: Recognizer, h_bound: int, w_bounds: dict) -> Recognizer:
-    """Recognizer of trees of height >= h_bound or with an f-node of arity
-    >= w_bounds[f].  The algebra tracks (height capped at h_bound, sticky
-    arity-overflow flag); each machine accumulates the running maximum
-    child height and counts letters up to its own arity bound."""
-    table = rec.table
-    carrier = tuple((h, fl) for h in range(h_bound + 1) for fl in (0, 1))
-    ops = {}
-    for f in table.operators:
-        wf = w_bounds[f]
-        states = [
-            (mh, fl, c)
-            for mh in range(-1, h_bound + 1)
-            for fl in (0, 1)
-            for c in range(wf + 1)
-        ]
-        delta = {}
-        out = {}
-        for st in states:
-            mh, fl, c = st
-            for (h, bflag) in carrier:
-                delta[(st, (h, bflag))] = (
-                    max(mh, h),
-                    fl | bflag,
-                    min(c + 1, wf),
-                )
-            out[st] = (min(mh + 1, h_bound), 1 if (fl or c >= wf) else 0)
-        ops[f] = MooreMachine(tuple(states), carrier, (-1, 0, 0), delta, out)
-    alg = RegularAlgebra(carrier, tuple(table.operators), ops)
-    finals = {
-        (h, fl) for (h, fl) in carrier if h >= h_bound or fl == 1
-    }
-    return Recognizer(alg, table, {x: (0, 0) for x in table.leaves}, finals)
-
-
 def size_at_least_recognizer(table: SymbolTable, s: int) -> Recognizer:
     """Recognizer of all trees with at least s nodes (size capped at s)."""
     carrier = tuple(range(1, s + 1))
@@ -327,61 +316,184 @@ def size_at_least_recognizer(table: SymbolTable, s: int) -> Recognizer:
     return Recognizer(alg, table, {x: 1 for x in table.leaves}, frozenset({s}))
 
 
-def is_finite(rec: Recognizer):
-    """Exact finiteness decision with witnesses.
+def _word_to(m: MooreMachine, q, target) -> tuple:
+    """Shortest word (ties by alphabet order) from state q to a state whose
+    output is target; callers ask only for targets q leads to."""
+    states, words = reachable_with_witnesses(replace(m, start=q))
+    return words[next(p for p in states if m.out[p] == target)]
 
-    A language is infinite iff it contains a tree of height at least the
-    reachable-carrier size, or an f-node of arity at least the f-machine's
-    state count: such a tree pumps (repeat an equal-valued subtree along a
-    root path, or repeat a loop infix of the children word, duplicating
-    the subtrees under it) without leaving the language.  Violation is
-    decided exactly by intersecting with a bound recognizer; a Finite
-    verdict then lists every member.
+
+class _PumpingGraph:
+    """The graph whose cycles pump the language of a trimmed recognizer.
+
+    An element is *useful* when it is the value of a subtree of some
+    accepted tree: it is final, or a child of a useful element, that is,
+    some reachable state q of some machine f reads it into a state that
+    leads to a state with a useful output.  States that lead to a useful
+    output are useful too.  The graph has a node ``(None, a)`` per useful
+    element a and a node ``(f, q)`` per useful state q of f's machine, and
+    maps each node to the nodes its trees are built from: a state to the
+    states and the letters that lead into it (all useful, as it is), an
+    element to the useful states that output it.  A cycle through states
+    alone pumps the arity of an f-node, a cycle through an element pumps
+    the height; without a cycle every member has bounded height and arity.
+    """
+
+    def __init__(self, trec: Recognizer):
+        alg = self.alg = trec.algebra
+        self.rec = trec
+        self.words, self.pred, by_out = {}, {}, {}
+        for f in alg.sigma:
+            m = alg.ops[f]
+            states, self.words[f] = reachable_with_witnesses(m)
+            pred = self.pred[f] = {q: [] for q in states}
+            outs = by_out[f] = {}
+            for q in states:
+                outs.setdefault(m.out[q], []).append(q)
+                for a in alg.elements:
+                    pred[m.delta[(q, a)]].append((q, a))
+        # useful[a]: None for a final, else (f, q, b): reading a from state
+        # q of f leads to a state with output b, and b was useful first.
+        self.useful = {a: None for a in alg.elements if a in trec.finals}
+        # good[f][q]: a useful output that state q leads to.
+        good = self.good = {f: {} for f in alg.sigma}
+        queue = deque(self.useful)
+        while queue:
+            b = queue.popleft()
+            for f in alg.sigma:
+                stack = [q for q in by_out[f].get(b, ()) if q not in good[f]]
+                good[f].update(dict.fromkeys(stack, b))
+                while stack:
+                    for q, a in self.pred[f][stack.pop()]:
+                        if q not in good[f]:
+                            good[f][q] = b
+                            stack.append(q)
+                        if a not in self.useful:
+                            self.useful[a] = (f, q, b)
+                            queue.append(a)
+        self.sources = {
+            (None, b): [(f, s) for f in alg.sigma for s in by_out[f].get(b, ())]
+            for b in self.useful
+        }
+        for f in alg.sigma:
+            for s in good[f]:
+                self.sources[(f, s)] = list(dict.fromkeys(
+                    n for q, a in self.pred[f][s] for n in ((f, q), (None, a))
+                ))
+
+    def members(self, order) -> tuple:
+        """Every accepted tree, built along an acyclic graph: the trees of
+        each useful element and the child words of each useful state,
+        children before parents."""
+        alg, rec = self.alg, self.rec
+        built: dict = {}  # element node: its trees; state node: its child words
+        for node in order:
+            f, x = node
+            if f is None:
+                trees = [leaf(y) for y in sorted(rec.table.leaves) if rec.valuation[y] == x]
+                for g, s in self.sources[node]:
+                    trees.extend(Tree(g, kids) for kids in built[(g, s)])
+                built[node] = trees
+            else:
+                words = [()] if x == alg.ops[f].start else []
+                for q, a in self.pred[f][x]:
+                    words.extend(w + (t,) for w in built[(f, q)] for t in built[(None, a)])
+                built[node] = words
+        accepted = [t for b in alg.elements if b in rec.finals for t in built[(None, b)]]
+        return sort_trees(accepted)
+
+    def pump(self, cycle) -> Tree:
+        """An accepted tree that pumps the cycle (its nodes, each built from
+        the one before) past criterion 9's bounds
+        (arity at least the machine's state count, or height at least the
+        carrier size), plugged into contexts up its value's useful chain."""
+        alg = self.alg
+        value = minimal_value_trees(self.rec)
+
+        def node(f, head, sub, tail):
+            return Tree(f, tuple(value[a] for a in head) + sub + tuple(value[a] for a in tail))
+
+        def letter(f, q, s):
+            return next(a for p, a in self.pred[f][s] if p == q)
+
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if all(f is not None for f, _ in cycle):
+            f, q = cycle[0]
+            m = alg.ops[f]
+            loop = tuple(letter(f, n[1], n2[1]) for n, n2 in pairs)
+            b = self.good[f][q]
+            head, tail = self.words[f][q], _word_to(m, q, b)
+            reps = max(1, -(-(len(m.states) - len(head) - len(tail)) // len(loop)))
+            tree = node(f, head + loop * reps, (), tail)
+        else:
+            k = next(i for i, (f, _) in enumerate(cycle) if f is None)
+            pairs = pairs[k:] + pairs[:k]
+            steps = []  # (f, head, tail): one level of context per child-of edge
+            for (f, x), (g, s) in pairs:
+                if f is None:
+                    q = next(q for q, a in self.pred[g][s] if a == x)
+                    steps.append((g, self.words[g][q], []))
+                elif g is not None:
+                    steps[-1][2].append(letter(f, x, s))
+            b = cycle[k][1]
+            tree = value[b]
+            while height(tree) < len(alg.elements):
+                for g, head, tail in steps:
+                    tree = node(g, head, (tree,), tail)
+        while self.useful[b] is not None:
+            f, q, b2 = self.useful[b]
+            m = alg.ops[f]
+            tree = node(f, self.words[f][q], (tree,), _word_to(m, m.delta[(q, b)], b2))
+            b = b2
+        return tree
+
+
+def is_finite(rec: Recognizer):
+    """Exact finiteness decision with witnesses, in time polynomial in the
+    carrier and machine sizes.
+
+    The language is infinite iff the pumping graph of the trimmed
+    recognizer has a cycle (see ``_PumpingGraph``); the witness pumps that
+    cycle until the tree has height at least the trimmed carrier size or
+    an f-node of arity at least the f-machine's state count, inside an
+    accepted tree.  It is a pumped member, not the smallest one past
+    those bounds.  A Finite verdict lists every member in (size, rendering)
+    order, built by value, so its cost follows the members' total size.
     """
     trec = trim(rec)
+    graph = _PumpingGraph(trec)
+    try:
+        order = list(TopologicalSorter(graph.sources).static_order())
+    except CycleError as err:
+        witness = graph.pump(err.args[1][:-1])
+    else:
+        return Finite(graph.members(order))
     h_bound = len(trec.algebra.elements)
     w_bounds = {f: len(trec.algebra.ops[f].states) for f in trec.algebra.sigma}
-    violation = _bound_violation_recognizer(trec, h_bound, w_bounds)
-    inter = intersect(trec, violation)
-    if not is_empty(inter):
-        witness = min_member(inter)
-        reasons = []
-        if height(witness) >= h_bound:
-            reasons.append(f"height {height(witness)} >= {h_bound}")
-        for sub in subtrees(witness):
-            if not sub.is_leaf and len(sub.children) >= w_bounds[sub.label]:
-                reasons.append(
-                    f"{sub.label}-node of arity {len(sub.children)} >= {w_bounds[sub.label]}"
-                )
-                break
-        return Infinite(witness, "; ".join(reasons))
-    # finite: find the least size bound with nothing at or above it
-    s = 1
-    while not is_empty(intersect(trec, size_at_least_recognizer(trec.table, s))):
-        s += 1
-        if s > 4096:
-            raise RecognizerError("runaway size bound in finiteness check")
-    max_arity = max(max(w_bounds.values()) - 1, 1)
-    members = tuple(
-        t for t in enumerate_trees(trec.table, s - 1, max_arity) if membership(trec, t)
-    )
-    return Finite(members)
+    reasons = []
+    if height(witness) >= h_bound:
+        reasons.append(f"height {height(witness)} >= {h_bound}")
+    for sub in subtrees(witness):
+        if not sub.is_leaf and len(sub.children) >= w_bounds[sub.label]:
+            reasons.append(
+                f"{sub.label}-node of arity {len(sub.children)} >= {w_bounds[sub.label]}"
+            )
+            break
+    return Infinite(witness, "; ".join(reasons))
 
 
 # ---------------------------------------------------------------------------
 # Equivalence
 
 
-def symmetric_difference(rec1: Recognizer, rec2: Recognizer) -> Recognizer:
-    return union(
-        intersect(rec1, complement(rec2)), intersect(complement(rec1), rec2)
-    )
-
-
 def equivalent(rec1: Recognizer, rec2: Recognizer):
-    """Exact language equality; returns (equal, counterexample tree or None)."""
-    _check_same_table(rec1, rec2)
-    diff = symmetric_difference(rec1, rec2)
-    if is_empty(diff):
+    """Exact language equality; returns (equal, counterexample tree or None).
+
+    One reachable pair product accepts the pairs where exactly one side
+    accepts; every pair in it is the value of some tree, so the languages
+    are equal iff it accepts nothing.
+    """
+    diff = _pair_recognizer(rec1, rec2, operator.ne)
+    if not diff.finals:
         return True, None
     return False, min_member(diff)

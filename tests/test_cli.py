@@ -155,6 +155,18 @@ def test_finite(capsys):
     assert out.startswith("infinite")
 
 
+@pytest.mark.parametrize(
+    "workspace, rec",
+    [("root.uta", "rootf"), ("parity.uta", "parity-odd"), ("bool.uta", "booltrue")],
+)
+def test_finite_witness_parses_and_is_accepted(capsys, workspace, rec):
+    code, out, _ = run(capsys, "-w", str(FIXTURES / workspace), "finite", "--rec", rec)
+    assert code == 1
+    witness = out.split("witness ", 1)[1].split(" (", 1)[0]
+    code, out, _ = run(capsys, "-w", str(FIXTURES / workspace), "eval", "--rec", rec, witness)
+    assert code == 0 and out.splitlines()[-1] == "accept"
+
+
 def test_enumerate(capsys):
     code, out, _ = run(
         capsys,

@@ -1,0 +1,380 @@
+"""Finiteness from the pumping graph and the reachable pair product,
+checked against the product towers they replaced, against plain
+enumeration, and against time budgets on the cases that were slow."""
+
+import random
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from uta import (
+    Finite,
+    Infinite,
+    MooreMachine,
+    Recognizer,
+    RegularAlgebra,
+    complement,
+    decide_nil,
+    enumerate_trees,
+    equivalent,
+    g_product,
+    height,
+    intersect,
+    is_empty,
+    is_finite,
+    membership,
+    min_member,
+    nilpotent_recognizer_for_finite,
+    parse_term,
+    render,
+    size,
+    trim,
+    union,
+)
+from uta.recognizer import minimal_value_trees, size_at_least_recognizer
+from uta.trees import Tree, leaf, subtrees
+
+from helpers import (
+    BOOL_TABLE,
+    PARITY_TABLE,
+    ROOT_TABLE,
+    all_trees_rec,
+    bool_true,
+    contains_x,
+    empty_rec,
+    parity_odd,
+    random_algebra,
+    random_recognizer,
+    random_table,
+    root_f,
+    singleton_x3,
+)
+
+FIXTURES = (parity_odd, root_f, all_trees_rec, empty_rec, singleton_x3, contains_x, bool_true)
+
+
+# ---------------------------------------------------------------------------
+# The product towers that the pumping graph and the pair product replaced
+
+
+def full_pair(rec1, rec2, accept):
+    """The pair product over the full cartesian carrier, through g_product."""
+    kappa = {f: (f, f) for f in rec1.table.operators}
+    alg = g_product(kappa, [rec1.algebra, rec2.algebra])
+    valuation = {x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves}
+    finals = {(a, b) for a, b in alg.elements if accept(a in rec1.finals, b in rec2.finals)}
+    return Recognizer(alg, rec1.table, valuation, finals)
+
+
+def full_intersect(rec1, rec2):
+    return full_pair(rec1, rec2, lambda a, b: a and b)
+
+
+def full_union(rec1, rec2):
+    return full_pair(rec1, rec2, lambda a, b: a or b)
+
+
+def tower_equivalent(rec1, rec2):
+    """Equivalence through the symmetric difference of complements."""
+    diff = full_union(
+        full_intersect(rec1, complement(rec2)), full_intersect(complement(rec1), rec2)
+    )
+    if is_empty(diff):
+        return True, None
+    return False, min_member(diff)
+
+
+def bound_violation_recognizer(rec, h_bound, w_bounds):
+    """Trees of height >= h_bound or with an f-node of arity >= w_bounds[f]:
+    (height capped at h_bound, sticky overflow flag), each machine keeping
+    the running maximum child height and counting letters up to its bound."""
+    carrier = tuple((h, fl) for h in range(h_bound + 1) for fl in (0, 1))
+    ops = {}
+    for f in rec.table.operators:
+        wf = w_bounds[f]
+        states = [
+            (mh, fl, c) for mh in range(-1, h_bound + 1) for fl in (0, 1) for c in range(wf + 1)
+        ]
+        delta = {}
+        out = {}
+        for mh, fl, c in states:
+            for h, bflag in carrier:
+                delta[((mh, fl, c), (h, bflag))] = (max(mh, h), fl | bflag, min(c + 1, wf))
+            out[(mh, fl, c)] = (min(mh + 1, h_bound), 1 if (fl or c >= wf) else 0)
+        ops[f] = MooreMachine(tuple(states), carrier, (-1, 0, 0), delta, out)
+    alg = RegularAlgebra(carrier, tuple(rec.table.operators), ops)
+    finals = {(h, fl) for h, fl in carrier if h >= h_bound or fl == 1}
+    return Recognizer(alg, rec.table, {x: (0, 0) for x in rec.table.leaves}, finals)
+
+
+def bounds(rec):
+    """Criterion 9's bounds: the trimmed carrier size, and per operator the
+    state count of its machine in the trimmed algebra."""
+    trec = trim(rec)
+    return len(trec.algebra.elements), {
+        f: len(trec.algebra.ops[f].states) for f in trec.algebra.sigma
+    }
+
+
+def breaks_bounds(rec, t) -> bool:
+    h_bound, w_bounds = bounds(rec)
+    return height(t) >= h_bound or any(
+        not s.is_leaf and len(s.children) >= w_bounds[s.label] for s in subtrees(t)
+    )
+
+
+def tower_is_finite(rec):
+    """Finiteness by an emptiness test against the bound violation
+    recognizer, then a size loop and a filtered enumeration."""
+    trec = trim(rec)
+    h_bound, w_bounds = bounds(trec)
+    inter = full_intersect(trec, bound_violation_recognizer(trec, h_bound, w_bounds))
+    if not is_empty(inter):
+        return Infinite(min_member(inter), "")
+    s = 1
+    while not is_empty(full_intersect(trec, size_at_least_recognizer(trec.table, s))):
+        s += 1
+    max_arity = max(max(w_bounds.values()) - 1, 1)
+    return Finite(
+        tuple(t for t in enumerate_trees(trec.table, s - 1, max_arity) if membership(trec, t))
+    )
+
+
+def rerendering_minimal_value_trees(rec):
+    """Smallest trees per value, rendering both trees on every comparison."""
+    alg = rec.algebra
+    best = {}
+
+    def better(cand, incumbent):
+        if incumbent is None:
+            return True
+        return (cand[0], render(cand[1])) < (incumbent[0], render(incumbent[1]))
+
+    for x in sorted(rec.table.leaves):
+        cand = (1, leaf(x))
+        if better(cand, best.get(rec.valuation[x])):
+            best[rec.valuation[x]] = cand
+    changed = True
+    while changed:
+        changed = False
+        for f in alg.sigma:
+            m = alg.ops[f]
+            dist = {m.start: (0, ())}
+            improved = True
+            while improved:
+                improved = False
+                for q in m.states:
+                    if q not in dist:
+                        continue
+                    dq, wq = dist[q]
+                    for a in alg.elements:
+                        if a not in best:
+                            continue
+                        cand = (dq + best[a][0], wq + (a,))
+                        q2 = m.delta[(q, a)]
+                        if q2 not in dist or cand < dist[q2]:
+                            dist[q2] = cand
+                            improved = True
+            for q, (d, w) in dist.items():
+                cand = (1 + d, Tree(f, tuple(best[a][1] for a in w)))
+                if better(cand, best.get(m.out[q])):
+                    best[m.out[q]] = cand
+                    changed = True
+    return {a: t for a, (_, t) in best.items()}
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws
+
+
+def draw(rng, table=None, max_elements=3, max_states=3):
+    """A trimmed random recognizer over the given table (default: drawn)."""
+    table = table or random_table(rng)
+    alg = random_algebra(rng, table.operators, max_elements, max_states)
+    valuation = {x: rng.choice(alg.elements) for x in table.leaves}
+    finals = frozenset(a for a in alg.elements if rng.random() < 0.5)
+    return trim(Recognizer(alg, table, valuation, finals))
+
+
+def below(rec, s):
+    """The members of rec with fewer than s nodes, a finite language."""
+    return intersect(rec, complement(size_at_least_recognizer(rec.table, s)))
+
+
+def finiteness_cases():
+    rng = random.Random(5001)
+    recs = [random_recognizer(rng) for _ in range(150)]
+    recs += [draw(rng, max_elements=5, max_states=4) for _ in range(100)]
+    recs += [below(draw(rng, max_elements=4), rng.randint(2, 4)) for _ in range(40)]
+    recs += [make() for make in FIXTURES]
+    return recs
+
+
+# ---------------------------------------------------------------------------
+# The new decisions against the towers
+
+
+def test_finiteness_matches_the_product_reference():
+    finite = infinite = 0
+    for rec in finiteness_cases():
+        got, want = is_finite(rec), tower_is_finite(rec)
+        assert type(got) is type(want)
+        if isinstance(got, Finite):
+            assert got.members == want.members
+            finite += 1
+        else:
+            assert membership(rec, got.witness)
+            assert breaks_bounds(rec, got.witness)
+            infinite += 1
+    assert finite > 50 and infinite > 50
+
+
+def test_equivalence_matches_the_complement_tower():
+    rng = random.Random(5002)
+    unequal = 0
+    for _ in range(120):
+        rec = draw(rng, max_elements=4)
+        flipped = rec.finals ^ {rng.choice(rec.algebra.elements)}
+        others = (
+            draw(rng, rec.table, max_elements=4),
+            Recognizer(rec.algebra, rec.table, rec.valuation, flipped),
+            complement(complement(rec)),
+            union(rec, rec),
+        )
+        for other in others:
+            got, want = equivalent(rec, other), tower_equivalent(rec, other)
+            assert got[0] == want[0]
+            if got[0]:
+                assert got[1] is None
+                continue
+            unequal += 1
+            assert membership(rec, got[1]) != membership(other, got[1])
+            if size(want[1]) <= 7:
+                assert got[1] == want[1]
+    assert unequal > 100
+    for table in (PARITY_TABLE, ROOT_TABLE, BOOL_TABLE):
+        for s in range(2, 5):
+            counters = [size_at_least_recognizer(table, n) for n in (s, s + 1)]
+            got = equivalent(*counters)
+            assert got == tower_equivalent(*counters)
+            assert size(got[1]) == s
+
+
+def test_minimal_value_trees_match_the_rerendering_reference():
+    rng = random.Random(5004)
+    for _ in range(200):
+        rec = draw(rng, max_elements=5, max_states=4)
+        assert minimal_value_trees(rec) == rerendering_minimal_value_trees(rec)
+
+
+def test_pair_products_match_the_full_product():
+    rng = random.Random(5003)
+    for _ in range(60):
+        rec = draw(rng)
+        other = draw(rng, rec.table)
+        universe = list(enumerate_trees(rec.table, 5, 3))
+        for ours, full in ((intersect, full_intersect), (union, full_union)):
+            got, want = ours(rec, other), full(rec, other)
+            assert set(got.algebra.elements) <= set(want.algebra.elements)
+            assert is_empty(got) == is_empty(want)
+            assert min_member(got) == min_member(want)
+            assert [membership(got, t) for t in universe] == [
+                membership(want, t) for t in universe
+            ]
+
+
+def test_pair_product_keeps_only_reachable_pairs():
+    odd = parity_odd()
+    assert len(intersect(odd, odd).algebra.elements) == 2
+    assert len(full_intersect(odd, odd).algebra.elements) == 4
+    six = size_at_least_recognizer(PARITY_TABLE, 6)
+    seven = size_at_least_recognizer(PARITY_TABLE, 7)
+    assert len(union(six, seven).algebra.elements) == 7
+
+
+def test_height_pumping_goes_round_the_cycle_until_the_bound():
+    """Unary chains whose height is a multiple of 3: no arity pumps, and one
+    round of the height cycle (3 levels) stays below the 4-element carrier."""
+    elements = ("0", "1", "2", "sink")
+    states = ("start",) + elements
+    delta = {("start", a): a if a == "sink" else str((int(a) + 1) % 3) for a in elements}
+    delta.update({(q, a): "sink" for q in elements for a in elements})
+    out = {"start": "sink", **{q: q for q in elements}}
+    m = MooreMachine(states, elements, "start", delta, out)
+    rec = Recognizer(RegularAlgebra(elements, ("f",), {"f": m}), PARITY_TABLE, {"x": "0"}, {"0"})
+    verdict = is_finite(rec)
+    assert isinstance(verdict, Infinite)
+    assert membership(rec, verdict.witness)
+    assert height(verdict.witness) >= 4
+    assert verdict.reason == f"height {height(verdict.witness)} >= 4"
+
+
+# ---------------------------------------------------------------------------
+# Time budgets for the cases that built towers of products
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - t0
+
+
+def singleton(text):
+    return nilpotent_recognizer_for_finite([parse_term(text, PARITY_TABLE)], PARITY_TABLE)
+
+
+def test_finiteness_of_a_three_deep_singleton_is_fast():
+    rec = singleton("f(f(f(x)))")
+    verdict, took = timed(lambda: is_finite(rec))
+    assert isinstance(verdict, Finite)
+    assert [render(t) for t in verdict.members] == ["f(f(f(x)))"]
+    assert took < 1.0
+    nil, took = timed(lambda: decide_nil(rec))
+    assert nil.holds and nil.detail == "finite with 1 members"
+    assert took < 1.0
+
+
+def test_finiteness_of_a_four_deep_singleton_is_fast():
+    rec = singleton("f(f(f(f(x))))")
+    verdict, took = timed(lambda: is_finite(rec))
+    assert isinstance(verdict, Finite)
+    assert [render(t) for t in verdict.members] == ["f(f(f(f(x))))"]
+    assert took < 1.0
+
+
+def test_equivalence_of_size_counters_is_fast():
+    six = size_at_least_recognizer(PARITY_TABLE, 6)
+    seven = size_at_least_recognizer(PARITY_TABLE, 7)
+    (equal, counterexample), took = timed(lambda: equivalent(six, seven))
+    assert not equal
+    assert render(counterexample) == "f(f(f(f(f(f)))))"
+    assert took < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Verdicts against plain enumeration
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=4))
+def test_finite_verdicts_agree_with_enumeration(seed, cap):
+    """A Finite verdict lists exactly the accepted trees up to twice the
+    largest member; an Infinite witness is a member.  The cut below ``cap``
+    nodes makes finite languages with members of several sizes, small
+    enough for the enumeration to reach twice their size."""
+    rng = random.Random(seed)
+    rec = draw(rng, max_elements=4)
+    for lang in (rec, below(rec, cap)):
+        verdict = is_finite(lang)
+        if isinstance(verdict, Infinite):
+            assert membership(lang, verdict.witness)
+            assert breaks_bounds(lang, verdict.witness)
+            continue
+        largest = max((size(t) for t in verdict.members), default=1)
+        accepted = [t for t in enumerate_trees(lang.table, 2 * largest) if membership(lang, t)]
+        assert list(verdict.members) == accepted
+        if lang is not rec:
+            assert accepted == [
+                t for t in enumerate_trees(lang.table, 2 * largest)
+                if membership(rec, t) and size(t) < cap
+            ]
