@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .horizon import (
+    MachineError,
     MooreMachine,
     WellDefinednessError,
     _product_reach,
@@ -82,13 +83,45 @@ def apply_symbol(alg: RegularAlgebra, f: str, word) -> object:
 
 
 def eval_term(alg: RegularAlgebra, valuation: dict, t: Tree) -> object:
-    """Value of a tree: leaves through the valuation, nodes through apply_symbol."""
-    if t.is_leaf:
-        try:
-            return valuation[t.label]
-        except KeyError:
-            raise AlgebraError(f"leaf {t.label!r} has no value") from None
-    return apply_symbol(alg, t.label, [eval_term(alg, valuation, c) for c in t.children])
+    """Value of a tree: leaves through the valuation, each node through the
+    machine of its operator (as ``apply_symbol``).
+
+    Post-order over [machine, state, child iterator] frames: a node's
+    machine reads each child's value as soon as it is known, so faults are
+    reported left to right, each where it is met.
+    """
+    ops = alg.ops
+    frames = []
+    m, q, kids = None, None, iter((t,))
+    while True:
+        for c in kids:
+            if c.is_leaf:
+                try:
+                    v = valuation[c.label]
+                except KeyError:
+                    raise AlgebraError(f"leaf {c.label!r} has no value") from None
+            else:
+                m2 = ops.get(c.label)
+                if m2 is None:
+                    raise AlgebraError(f"unknown operator {c.label!r}")
+                if c.children:
+                    frames.append((m, q, kids))
+                    m, q, kids = m2, m2.start, iter(c.children)
+                    break
+                v = m2.out[m2.start]
+            if m is None:
+                return v
+            if v not in m.letters:
+                raise MachineError(f"letter {v!r} outside alphabet")
+            q = m.delta[(q, v)]
+        else:
+            v = m.out[q]
+            m, q, kids = frames.pop()
+            if m is None:
+                return v
+            if v not in m.letters:
+                raise MachineError(f"letter {v!r} outside alphabet")
+            q = m.delta[(q, v)]
 
 
 def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:

@@ -9,6 +9,7 @@ output to machine-readable JSON.  Set UTA_COLOR=0 to disable styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -594,8 +595,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parse_args leaves it
+    as it was, so one serves every call of main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
         return _COMMANDS[args.command](ws, args)

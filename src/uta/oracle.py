@@ -37,11 +37,28 @@ def make_universe(table, tree_bounds=(5, 3), ctx_bounds=(5, 3)) -> BruteUniverse
 
 def _hole_eval(rec: Recognizer, ctx: Tree, hole_value):
     """Evaluate a context with its hole preset; local re-implementation so
-    this module checks the library rather than reusing it."""
+    this module checks the library rather than reusing it.  Each node's
+    children are evaluated into a word first, and the word is then run
+    through the node's machine; open nodes wait on a stack."""
     if ctx.is_leaf:
         return hole_value if ctx.label == HOLE else rec.valuation[ctx.label]
-    vals = [_hole_eval(rec, c, hole_value) for c in ctx.children]
-    return run_word(rec.algebra.ops[ctx.label], vals)
+    ops, valuation = rec.algebra.ops, rec.valuation
+    stack = []
+    u, kids, word = ctx, iter(ctx.children), []
+    while True:
+        for c in kids:
+            if c.is_leaf:
+                word.append(hole_value if c.label == HOLE else valuation[c.label])
+            else:
+                stack.append((u, kids, word))
+                u, kids, word = c, iter(c.children), []
+                break
+        else:
+            value = run_word(ops[u.label], word)
+            if not stack:
+                return value
+            u, kids, word = stack.pop()
+            word.append(value)
 
 
 def brute_syntactic_partition(

@@ -9,13 +9,15 @@ no whitespace; an operator node with no children renders as the bare name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
 HOLE = "@"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*|[(),@])")
+_TOKENS_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),@]")
+_NO_SPACE = str.maketrans("", "", " \t\r\n")
 
 
 class TermError(ValueError):
@@ -32,10 +34,14 @@ class SymbolTable:
 
     operators: tuple
     leaves: tuple = ()
+    operator_set: frozenset = field(init=False, compare=False, repr=False)
+    leaf_set: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "leaves", tuple(self.leaves))
+        object.__setattr__(self, "operator_set", frozenset(self.operators))
+        object.__setattr__(self, "leaf_set", frozenset(self.leaves))
         if not self.operators:
             raise TermError("operator alphabet must be nonempty")
         names = list(self.operators) + list(self.leaves)
@@ -46,13 +52,13 @@ class SymbolTable:
             raise TermError("operator and leaf names must be distinct")
 
     def is_operator(self, name: str) -> bool:
-        return name in self.operators
+        return name in self.operator_set
 
     def is_leaf_name(self, name: str) -> bool:
-        return name in self.leaves
+        return name in self.leaf_set
 
     def __contains__(self, name: str) -> bool:
-        return name in self.operators or name in self.leaves
+        return name in self.operator_set or name in self.leaf_set
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,25 @@ class Tree:
         object.__setattr__(self, "children", tuple(self.children))
         if self.is_leaf and self.children:
             raise TermError(f"leaf {self.label!r} cannot have children")
+
+    def __eq__(self, other):
+        """Structural equality, compared pair by pair from a stack of node
+        pairs; leaf children are compared in place."""
+        if other.__class__ is not Tree:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.label != b.label or a.is_leaf != b.is_leaf or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if x.children:
+                    pairs.append((x, y))
+                elif y.children or x.label != y.label or x.is_leaf != y.is_leaf:
+                    return False
+        return True
 
     def __repr__(self):
         return f"Tree<{render(self)}>"
@@ -84,33 +109,65 @@ HOLE_LEAF = leaf(HOLE)
 
 
 def render(t: Tree) -> str:
-    """Canonical text of a tree: no whitespace, bare name for 0 children."""
+    """Canonical text of a tree: no whitespace, bare name for 0 children.
+
+    Tokens go to one list, joined once.  Every finished node is followed by
+    a "," token; finishing a node turns the "," after its last child into
+    ")".
+    """
     if not t.children:
         return t.label
-    return t.label + "(" + ",".join(render(c) for c in t.children) + ")"
+    out = [t.label, "("]
+    append = out.append
+    stack = [iter(t.children)]
+    while stack:
+        for c in stack[-1]:
+            append(c.label)
+            if c.children:
+                append("(")
+                stack.append(iter(c.children))
+                break
+            append(",")
+        else:
+            stack.pop()
+            out[-1] = ")"
+            append(",")
+    out.pop()
+    return "".join(out)
 
 
 def pretty(t: Tree, indent: str = "  ") -> str:
     """Multi-line indented rendering, one node per line."""
-    lines = []
-
-    def go(u, depth):
-        lines.append(indent * depth + u.label)
-        for c in u.children:
-            go(c, depth + 1)
-
-    go(t, 0)
+    lines = [t.label]
+    stack = [iter(t.children)]
+    while stack:
+        for c in stack[-1]:
+            lines.append(indent * len(stack) + c.label)
+            if c.children:
+                stack.append(iter(c.children))
+                break
+        else:
+            stack.pop()
     return "\n".join(lines)
 
 
 def height(t: Tree) -> int:
-    if not t.children:
-        return 0
-    return 1 + max(height(c) for c in t.children)
+    h, level = 0, t.children
+    while level:
+        h += 1
+        level = [c for u in level for c in u.children]
+    return h
 
 
 def size(t: Tree) -> int:
-    return 1 + sum(size(c) for c in t.children)
+    n, stack = 0, [(t,)]
+    while stack:
+        kids = stack.pop()
+        n += len(kids)
+        for c in kids:
+            if c.children:
+                stack.append(c.children)
+    return n
 
 
 def root(t: Tree) -> str:
@@ -125,34 +182,73 @@ def tree_measures(t: Tree) -> tuple:
 def subtrees(t: Tree):
     """All subtrees of t, including t itself (pre-order)."""
     yield t
-    for c in t.children:
-        yield from subtrees(c)
+    stack = [iter(t.children)]
+    while stack:
+        for c in stack[-1]:
+            yield c
+            if c.children:
+                stack.append(iter(c.children))
+                break
+        else:
+            stack.pop()
 
 
 def hole_count(t: Tree) -> int:
-    if t.is_leaf:
-        return 1 if t.label == HOLE else 0
-    return sum(hole_count(c) for c in t.children)
+    n, stack = 0, [(t,)]
+    while stack:
+        for c in stack.pop():
+            if c.children:
+                stack.append(c.children)
+            elif c.is_leaf and c.label == HOLE:
+                n += 1
+    return n
 
 
 def is_context(t: Tree) -> bool:
     return hole_count(t) == 1
 
 
+def _labels_known(table: SymbolTable, t: Tree) -> bool:
+    """Whether every label of t is in the table (a hole is not), checked
+    over a stack of sibling tuples in any order."""
+    operators, leaves = table.operator_set, table.leaf_set
+    stack = [(t,)]
+    while stack:
+        for u in stack.pop():
+            if u.children:
+                if u.label not in operators:
+                    return False
+                stack.append(u.children)
+            elif u.label not in (leaves if u.is_leaf else operators):
+                return False
+    return True
+
+
 def validate_tree(table: SymbolTable, t: Tree, allow_hole: bool = False) -> None:
-    """Check every label of t against the table; raises TermError."""
-    if t.is_leaf:
-        if t.label == HOLE:
-            if not allow_hole:
-                raise TermError("hole not allowed here")
-            return
-        if not table.is_leaf_name(t.label):
-            raise TermError(f"unknown leaf symbol {t.label!r}")
+    """Check every label of t against the table; raises TermError.
+
+    Only a tree with a hole or an unknown label is scanned in pre-order, so
+    the fault reported is the first in text order.
+    """
+    if _labels_known(table, t):
         return
-    if not table.is_operator(t.label):
-        raise TermError(f"unknown operator symbol {t.label!r}")
-    for c in t.children:
-        validate_tree(table, c, allow_hole)
+    operators, leaves = table.operator_set, table.leaf_set
+    stack = [iter((t,))]
+    while stack:
+        for u in stack[-1]:
+            if u.is_leaf:
+                if u.label == HOLE:
+                    if not allow_hole:
+                        raise TermError("hole not allowed here")
+                elif u.label not in leaves:
+                    raise TermError(f"unknown leaf symbol {u.label!r}")
+            elif u.label not in operators:
+                raise TermError(f"unknown operator symbol {u.label!r}")
+            elif u.children:
+                stack.append(iter(u.children))
+                break
+        else:
+            stack.pop()
 
 
 def sort_trees(ts) -> tuple:
@@ -164,7 +260,13 @@ def sort_trees(ts) -> tuple:
 # Parsing
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """Tokens of a term: names and ``( ) , @``, split by spaces, tabs and
+    line breaks.  One ``findall`` covers the whole text when nothing else is
+    in it; otherwise the token-by-token scan finds and reports the fault."""
+    tokens = _TOKENS_RE.findall(text)
+    if "".join(tokens) == text.translate(_NO_SPACE):
+        return tokens
     pos = 0
     tokens = []
     while pos < len(text):
@@ -183,60 +285,69 @@ def parse_term(text: str, table: SymbolTable, allow_hole: bool = False) -> Tree:
     """Parse ``f(g(y),x,f)`` syntax; whitespace-insensitive.
 
     With ``allow_hole`` the result must be a context: exactly one ``@``.
+    A shift-reduce loop: each open operator is a (label, children) frame,
+    and a finished node is appended to the innermost open frame.
     """
     if not text or not text.strip():
         raise TermError("empty term")
     tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take():
-        nonlocal idx
-        tok = peek()
-        idx += 1
-        return tok
-
-    def term() -> Tree:
-        tok = take()
+    tokens.append(None)  # end marker
+    operators, leaves = table.operator_set, table.leaf_set
+    atoms: dict = {}
+    frames: list = []  # the enclosing open frames
+    label = children = None  # the innermost open frame
+    i = 0
+    while True:
+        tok = tokens[i]
         if tok is None:
             raise TermError("unexpected end of term")
+        i += 1
         if tok in "(),":
             raise TermError(f"unexpected {tok!r}")
         if tok == HOLE:
             if not allow_hole:
                 raise TermError("hole '@' not allowed in a tree")
-            if peek() == "(":
+            if tokens[i] == "(":
                 raise TermError("hole cannot take children")
-            return HOLE_LEAF
-        if peek() == "(":
-            if table.is_leaf_name(tok):
+            node = HOLE_LEAF
+        elif tokens[i] == "(":
+            if tok in leaves:
                 raise TermError(f"leaf symbol {tok!r} used with children")
-            if not table.is_operator(tok):
+            if tok not in operators:
                 raise TermError(f"unknown symbol {tok!r}")
-            take()  # "("
-            children = [term()]
-            while peek() == ",":
-                take()
-                children.append(term())
-            if take() != ")":
+            frames.append((label, children))
+            label, children = tok, []
+            i += 1
+            continue
+        else:
+            node = atoms.get(tok)
+            if node is None:
+                if tok in operators:
+                    node = atoms[tok] = Tree(tok, (), False)
+                elif tok in leaves:
+                    node = atoms[tok] = Tree(tok, (), True)
+                else:
+                    raise TermError(f"unknown symbol {tok!r}")
+        # node is finished: add it to its frame, closing every frame it ends
+        while children is not None:
+            children.append(node)
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                break
+            if tok != ")":
                 raise TermError("expected ')'")
-            return op(tok, children)
-        if table.is_operator(tok):
-            return op(tok)
-        if table.is_leaf_name(tok):
-            return leaf(tok)
-        raise TermError(f"unknown symbol {tok!r}")
-
-    t = term()
-    if idx != len(tokens):
-        raise TermError(f"trailing input after term: {tokens[idx]!r}")
+            node = Tree(label, children, False)
+            label, children = frames.pop()
+        else:
+            break  # node is the whole term
+    if tokens[i] is not None:
+        raise TermError(f"trailing input after term: {tokens[i]!r}")
     if allow_hole:
-        n = hole_count(t)
+        n = hole_count(node)
         if n != 1:
             raise TermError(f"a context needs exactly one hole, found {n}")
-    return t
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +362,29 @@ def plug(p: Tree, arg: Tree) -> Tree:
 
 
 def _subst(t: Tree, arg: Tree) -> Tree:
+    """t with every hole replaced by arg; subtrees without a hole are kept.
+
+    Post-order over (node, child iterator, new children, changed) frames."""
     if t.is_leaf:
         return arg if t.label == HOLE else t
-    if hole_count(t) == 0:
-        return t
-    return Tree(t.label, tuple(_subst(c, arg) for c in t.children))
+    frames = []
+    u, kids, done, changed = t, iter(t.children), [], False
+    while True:
+        for c in kids:
+            if c.children:
+                frames.append((u, kids, done, changed))
+                u, kids, done, changed = c, iter(c.children), [], False
+                break
+            if c.is_leaf and c.label == HOLE:
+                c, changed = arg, True
+            done.append(c)
+        else:
+            new = Tree(u.label, done) if changed else u
+            if not frames:
+                return new
+            u, kids, done, parent_changed = frames.pop()
+            done.append(new)
+            changed = parent_changed or changed
 
 
 def compose(p: Tree, q: Tree) -> Tree:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -373,3 +376,44 @@ def test_internal_error_exits_2_not_reject(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: internal error: RecursionError: maximum recursion depth exceeded"
+
+
+DEEP_CHAIN = "f(" * 10**5 + "x" + ")" * 10**5
+
+
+def test_recognize_eval_parse_on_a_deep_chain(capsys, tmp_path):
+    # one x under 10^5 unary f's: f passes the parity through, so it accepts
+    terms = tmp_path / "deep.txt"
+    terms.write_text(DEEP_CHAIN + "\n", encoding="utf-8")
+    parity = str(FIXTURES / "parity.uta")
+    code, out, err = run(capsys, "-w", parity, "recognize", "--rec", "parity-odd", str(terms))
+    assert (code, err) == (0, "")
+    assert out == "accept\t" + DEEP_CHAIN + "\n"
+    code, out, err = run(capsys, "-w", parity, "eval", "--rec", "parity-odd", DEEP_CHAIN)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["1", "accept"]
+    code, out, err = run(capsys, "-w", parity, "parse", "--symbols", "sym", DEEP_CHAIN)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [DEEP_CHAIN, f"height {10**5}, root f, size {10**5 + 1}"]
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # main() reuses one argument parser; no flag of one call may reach the next
+    calls = [
+        ["-w", str(FIXTURES / "parity.uta"), "--json", "eval", "--rec", "parity-odd", "f(x,x)"],
+        ["-w", str(FIXTURES / "root.uta"), "parse", "--symbols", "sym2"],
+        ["-w", str(FIXTURES / "root.uta"), "parse", "--symbols", "sym2", "--pretty", "f(g(x),x)"],
+        ["-w", str(FIXTURES / "parity.uta"), "eval", "--rec", "parity-odd", "f(x,x)"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "UTA_COLOR": "0", "PYTHONPATH": src}
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage error
+            code = e.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "uta", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
