@@ -93,6 +93,12 @@ class Tree:
                     return False
         return True
 
+    def __hash__(self):
+        """Hash of the canonical rendering, which equal trees share; made
+        without recursion, and cached nowhere, so a tree unpickled in
+        another process (other string hashes) hashes afresh."""
+        return hash(render(self))
+
     def __repr__(self):
         return f"Tree<{render(self)}>"
 
@@ -410,6 +416,16 @@ class _EmptyRoot:
 EMPTY_ROOT = _EmptyRoot()
 
 
+def _shorter_than(t: Tree, k: int) -> bool:
+    """Whether height(t) < k, looking at the top k levels only."""
+    level = (t,)
+    for _ in range(k):
+        level = [c for u in level for c in u.children]
+        if not level:
+            return True
+    return False
+
+
 def root_segment(t: Tree, k: int):
     """Top k levels of t: the whole tree when shallower, ε sentinel at k=0."""
     if k < 0:
@@ -418,7 +434,7 @@ def root_segment(t: Tree, k: int):
         return EMPTY_ROOT
     if k == 1:
         return t if not t.children else Tree(t.label)
-    if height(t) < k:
+    if _shorter_than(t, k):
         return t
     return Tree(t.label, tuple(root_segment(c, k - 1) for c in t.children))
 
@@ -427,7 +443,7 @@ def bounded_subtrees(t: Tree, k: int) -> frozenset:
     """Subtrees of t (including t) of height strictly below k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return frozenset(s for s in subtrees(t) if height(s) < k)
+    return frozenset(s for s in subtrees(t) if _shorter_than(s, k))
 
 
 def forks(t: Tree, k: int) -> frozenset:
@@ -438,12 +454,7 @@ def forks(t: Tree, k: int) -> frozenset:
     """
     if k < 2:
         raise ValueError("forks need k >= 2")
-    if height(t) < k - 1:
-        return frozenset()
-    acc = {root_segment(t, k)}
-    for c in t.children:
-        acc |= forks(c, k)
-    return frozenset(acc)
+    return frozenset(root_segment(s, k) for s in subtrees(t) if not _shorter_than(s, k - 1))
 
 
 def embeds(s: Tree, t: Tree) -> bool:
@@ -468,31 +479,38 @@ def embeds(s: Tree, t: Tree) -> bool:
 
 
 def pieces(t: Tree, k: int) -> frozenset:
-    """All trees of height below k that embed into t, computed bottom-up."""
+    """All trees of height below k that embed into t, computed bottom-up.
+
+    Post-order over the nodes of t; each node's piece sets of heights below
+    1..k are kept by node identity, so a shared subtree is done once."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    memo: dict = {}
-
-    def go(u: Tree, j: int) -> frozenset:
-        if j <= 0:
-            return frozenset()
-        key = (u, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    if k == 0:
+        return frozenset()
+    done: dict = {}  # id(node) -> its piece sets below heights 1..k
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if id(u) in done:
+            stack.pop()
+            continue
+        waiting = [c for c in u.children if id(c) not in done]
+        if waiting:
+            stack.extend(reversed(waiting))
+            continue
+        stack.pop()
         if not u.children:
-            result = frozenset((u,))
-        else:
-            acc = set()
-            for c in u.children:
-                acc |= go(c, j)
-            for combo in _cartesian(*(go(c, j - 1) for c in u.children)):
-                acc.add(Tree(u.label, combo))
-            result = frozenset(acc)
-        memo[key] = result
-        return result
-
-    return go(t, k)
+            done[id(u)] = (frozenset((u,)),) * k
+            continue
+        below = [done[id(c)] for c in u.children]
+        sets = []
+        for j in range(k):
+            acc = set().union(*[p[j] for p in below])
+            if j:
+                acc.update(Tree(u.label, combo) for combo in _cartesian(*[p[j - 1] for p in below]))
+            sets.append(frozenset(acc))
+        done[id(u)] = tuple(sets)
+    return done[id(t)][k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +633,47 @@ def relabel_gmorphism(src: SymbolTable, dst: SymbolTable, iota: dict) -> TermGMo
 def apply_term_gmorphism(m: TermGMorphism, t: Tree) -> Tree:
     """Image of t: leaves go through alpha, operator labels through iota.
 
-    The hole is preserved, so contexts map to contexts.
+    The hole is preserved, so contexts map to contexts.  Post-order over
+    (image label, child iterator, child images) frames; nodes are looked up
+    in pre-order, so a tree outside the domain reports its first fault in
+    text order.
     """
-    if t.is_leaf:
-        if t.label == HOLE:
-            return t
+    iota, alpha = m.iota, m.alpha
+
+    def relabel(u: Tree) -> str:
         try:
-            return m.alpha[t.label]
+            return iota[u.label]
         except KeyError:
-            raise TermError(f"leaf {t.label!r} outside morphism domain") from None
-    try:
-        g = m.iota[t.label]
-    except KeyError:
-        raise TermError(f"operator {t.label!r} outside morphism domain") from None
-    return Tree(g, tuple(apply_term_gmorphism(m, c) for c in t.children))
+            raise TermError(f"operator {u.label!r} outside morphism domain") from None
+
+    def atom(u: Tree) -> Tree:
+        """The image of a node without children."""
+        if not u.is_leaf:
+            return Tree(relabel(u))
+        if u.label == HOLE:
+            return u
+        try:
+            return alpha[u.label]
+        except KeyError:
+            raise TermError(f"leaf {u.label!r} outside morphism domain") from None
+
+    if not t.children:
+        return atom(t)
+    frames = []
+    g, kids, done = relabel(t), iter(t.children), []
+    while True:
+        for c in kids:
+            if c.children:
+                frames.append((g, kids, done))
+                g, kids, done = relabel(c), iter(c.children), []
+                break
+            done.append(atom(c))
+        else:
+            new = Tree(g, done)
+            if not frames:
+                return new
+            g, kids, done = frames.pop()
+            done.append(new)
 
 
 # ---------------------------------------------------------------------------

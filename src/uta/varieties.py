@@ -17,6 +17,7 @@ first map with a proper cycle.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -479,6 +480,16 @@ def nilpotent_recognizer_for_finite(member_trees, table: SymbolTable) -> Recogni
 DEFAULT_PROBE_BOUNDS = (7, 3)
 
 
+@functools.lru_cache(maxsize=2)
+def _probe_bank(table: SymbolTable, max_arity) -> tuple[TreeBank, dict]:
+    """The probes' shared trees over one table and arity bound: one
+    ``TreeBank`` and, per kind, ``firsts`` with ``firsts[i]`` the id of the
+    first tree in tree i's key group.  Both depend on the alphabet only, so
+    every recognizer over the table reads them; each probe extends
+    ``firsts`` past what earlier probes reached."""
+    return TreeBank(table, max_arity), {}
+
+
 def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> VarietyVerdict:
     """Group every enumerated tree by its abstraction key and compare the
     syntactic values inside each group.
@@ -490,27 +501,42 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
 
     Trees are enumerated lazily in (size, rendering) order and worked on
     bottom-up by id: a tree's value is one machine run over its children's
-    values and its key parts are unions and lookups over its children's
-    parts.  The sweep stops at the first conflict, so a refutation costs
+    values.  The sweep stops at the first conflict, so a refutation costs
     only the trees up to that one; a yes enumerates the whole bound.  The
     counterexample pairs the first tree of the key group with the tree
     that broke it.
+
+    The key groups depend on the table, not the language, so the bank and
+    each kind's first-of-group ids are shared across calls, keyed by
+    (table, arity bound); the two most recently used are kept.  Over trees
+    an earlier call reached, a probe costs one machine run per tree.  Past
+    them its key parts are unions and lookups over the children's parts,
+    built for this call only.
     """
     name = kind_name(kind)
     _res, srec = syntactic_of(rec)
-    bank = TreeBank(rec.table, bounds[1])
-    keys = KeyParts(bank, kind)
+    bank, firsts_of = _probe_bank(rec.table, bounds[1])
+    firsts = firsts_of.get(kind, [])
+    keys = groups = None
     ops, valuation = srec.algebra.ops, srec.valuation
     labels, is_leaf, kids = bank.label, bank.is_leaf, bank.kids
     values: list = []
-    groups: dict = {}
     for i in bank.trees(bounds[0]):
+        if i < len(firsts):
+            first = firsts[i]
+        else:
+            if keys is None:
+                keys, groups = KeyParts(bank, kind), {}
+                for j in range(i):
+                    groups.setdefault(keys.add(j), j)
+                firsts = firsts_of.setdefault(kind, firsts)
+            first = groups.setdefault(keys.add(i), i)
+            firsts.append(first)
         if is_leaf[i]:
             v = valuation[labels[i]]
         else:
             v = run_word(ops[labels[i]], [values[c] for c in kids[i]])
         values.append(v)
-        first = groups.setdefault(keys.add(i), i)
         if values[first] != v:
             return VarietyVerdict(
                 name,

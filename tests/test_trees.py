@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -412,3 +412,100 @@ def test_root_segment_monotone(j, k, data):
 def test_sort_trees_dedupes():
     a = parse_term("f(x)", TAB)
     assert sort_trees([a, a, leaf("x")]) == (leaf("x"), a)
+
+
+# ---------------------------------------------------------------------------
+# Recursion-free hashing, keys and morphism images
+
+
+def _forks_recursive(t, k):
+    if height(t) < k - 1:
+        return frozenset()
+    acc = {root_segment(t, k)}
+    for c in t.children:
+        acc |= _forks_recursive(c, k)
+    return frozenset(acc)
+
+
+def _pieces_recursive(t, k):
+    def go(u, j):
+        if j <= 0:
+            return frozenset()
+        if not u.children:
+            return frozenset((u,))
+        acc = set()
+        for c in u.children:
+            acc |= go(c, j)
+        for combo in product(*(go(c, j - 1) for c in u.children)):
+            acc.add(op(u.label, combo))
+        return frozenset(acc)
+
+    return go(t, k)
+
+
+def _image_recursive(m, t):
+    if t.is_leaf:
+        if t.label == "@":
+            return t
+        if t.label not in m.alpha:
+            raise TermError(f"leaf {t.label!r} outside morphism domain")
+        return m.alpha[t.label]
+    if t.label not in m.iota:
+        raise TermError(f"operator {t.label!r} outside morphism domain")
+    return op(m.iota[t.label], [_image_recursive(m, c) for c in t.children])
+
+
+def _chain(depth, top="f", bottom="x"):
+    t = leaf(bottom)
+    for _ in range(depth):
+        t = op(top, [t])
+    return t
+
+
+def test_hash_of_a_deep_chain():
+    t = _chain(10_000)
+    again = parse_term(render(t), FX)
+    assert t is not again and hash(t) == hash(again)
+    assert again in {t} and {t: 1}[again] == 1
+    assert _chain(10_000, bottom="y") not in {t}
+    assert len({t, again, _chain(9_999)}) == 2
+
+
+def test_equal_trees_built_apart_hash_equal():
+    trees = list(enumerate_trees(TAB, 5, 3))
+    rebuilt = [parse_term(render(t), TAB) for t in trees]
+    assert [hash(t) for t in trees] == [hash(u) for u in rebuilt]
+    assert len(set(trees) | set(rebuilt)) == len(trees)
+
+
+def test_keys_and_images_of_a_deep_chain():
+    t = _chain(10_000)
+    kinds = [Definite(3), ReverseDefinite(3), GenDefinite(2, 3), LocTestable(3), PwTestable(3)]
+    for kind in kinds:
+        assert abstraction_key(t, kind) == abstraction_key(_chain(10_000), kind)
+    assert abstraction_key(t, Definite(3)) != abstraction_key(_chain(2), Definite(3))
+    assert forks(t, 3) == _forks_recursive(_chain(10), 3) == {_chain(2), parse_term("f(f(f))", FX)}
+    assert pieces(t, 3) == _pieces_recursive(_chain(10), 3)
+    assert apply_term_gmorphism(identity_gmorphism(FX), t) == t
+
+
+def test_keys_and_images_match_the_recursive_versions():
+    trees = list(enumerate_trees(TAB, 5, 3))
+    rng = random.Random(113)
+    morphisms = [identity_gmorphism(TAB)] + [random_gmorphism(rng, src=TAB) for _ in range(4)]
+    for t in trees:
+        for k in (2, 3, 4):
+            assert forks(t, k) == _forks_recursive(t, k)
+        for k in range(5):
+            assert pieces(t, k) == _pieces_recursive(t, k)
+        for m in morphisms:
+            assert apply_term_gmorphism(m, t) == _image_recursive(m, t)
+    narrow = identity_gmorphism(SymbolTable(("f",), ("x",)))
+    for t in trees:
+        try:
+            want = _image_recursive(narrow, t)
+        except TermError as e:
+            with pytest.raises(TermError, match=str(e)):
+                apply_term_gmorphism(narrow, t)
+        else:
+            assert apply_term_gmorphism(narrow, t) == want

@@ -32,7 +32,7 @@ from uta import (
     SymbolTable,
 )
 from uta.oracle import brute_variety_check, make_universe
-from uta.varieties import VarietyVerdict, kind_name
+from uta.varieties import VarietyVerdict, _probe_bank, kind_name
 from uta.workspace import load_workspace
 
 from helpers import (
@@ -433,3 +433,90 @@ def test_probe_matches_the_per_tree_reference():
                 assert got == _reference_probe(rec, kind, bounds, memo), (rec.table, kind, bounds)
                 refuted += not got.holds
     assert refuted > 100
+
+
+# ---------------------------------------------------------------------------
+# The probe's bank and key groups, shared across calls
+
+
+def _probe_cases(count, seed):
+    rng = random.Random(seed)
+    return [random_recognizer(rng) for _ in range(count)]
+
+
+def _agrees(rec, kind, bounds, memo):
+    got = saturation_probe(rec, kind, bounds)
+    assert got == _reference_probe(rec, kind, bounds, memo), (rec.table, kind, bounds)
+    return got
+
+
+def test_shared_probe_cold_and_warm():
+    memo: dict = {}
+    for rec in _probe_cases(5, 131):
+        for kind in PROBE_KINDS:
+            _probe_bank.cache_clear()
+            cold = _agrees(rec, kind, (5, 3), memo)
+            assert saturation_probe(rec, kind, (5, 3)) == cold
+            assert _probe_bank.cache_info().hits == 1
+
+
+def test_shared_probe_extended_past_an_early_refutation():
+    """An early refutation keys only a prefix of the bank; a later probe
+    on the same table replays that prefix into its groups, extends it
+    past the refutation, and finds the conflicts that span the two."""
+    memo: dict = {}
+    recs = _probe_cases(60, 137)
+    extended = 0
+    for kind in PROBE_KINDS:
+        for table in sorted({rec.table for rec in recs}, key=repr):
+            same = [rec for rec in recs if rec.table == table]
+            small = {id(rec): _reference_probe(rec, kind, (3, 3), memo).holds for rec in same}
+            large = {id(rec): _reference_probe(rec, kind, (5, 3), memo).holds for rec in same}
+            early = [rec for rec in same if not small[id(rec)]]
+            late = [rec for rec in same if small[id(rec)] and not large[id(rec)]]
+            yes = [rec for rec in same if large[id(rec)]]
+            if not early or not late or not yes:
+                continue
+            _probe_bank.cache_clear()
+            assert not _agrees(early[0], kind, (3, 3), memo).holds
+            bank, firsts_of = _probe_bank(table, 3)
+            known = len(firsts_of[kind])
+            assert not _agrees(late[0], kind, (5, 3), memo).holds
+            assert len(firsts_of[kind]) > known
+            assert _agrees(yes[0], kind, (5, 3), memo).holds
+            assert len(firsts_of[kind]) == len(bank.label)
+            for rec in early[:1] + late[:2]:
+                _agrees(rec, kind, (5, 3), memo)
+            extended += 1
+    assert extended >= 10
+
+
+def test_shared_probe_warmed_by_another_kind():
+    memo: dict = {}
+    recs = _probe_cases(4, 139)
+    for rec in recs:
+        for warm, kind in zip(PROBE_KINDS, PROBE_KINDS[1:] + PROBE_KINDS[:1]):
+            _probe_bank.cache_clear()
+            _agrees(rec, warm, (5, 3), memo)
+            _agrees(rec, kind, (4, 3), memo)
+            _agrees(rec, kind, (5, 3), memo)
+            assert _probe_bank.cache_info().currsize == 1
+
+
+def test_shared_probe_after_eviction_by_three_tables():
+    memo: dict = {}
+    recs = _probe_cases(80, 149)
+    by_table: dict = {}
+    for rec in recs:
+        by_table.setdefault(rec.table, []).append(rec)
+    tables = sorted(by_table, key=lambda t: (len(t.operators), len(t.leaves)), reverse=True)[:3]
+    assert len(tables) == 3
+    _probe_bank.cache_clear()
+    for n in range(4):
+        for kind in PROBE_KINDS[::2]:
+            for table in (tables[0], tables[1], tables[0], tables[2]):
+                rec = by_table[table][n % len(by_table[table])]
+                _agrees(rec, kind, (5, 3) if n % 2 else (4, 3), memo)
+    info = _probe_bank.cache_info()
+    assert info.currsize == 2 and info.hits > 3 and info.misses > 3
+
