@@ -34,14 +34,13 @@ from .recognizer import (
     complement,
     context_quotient,
     equivalent,
-    eval_of,
     intersect,
     inverse_gmorphism_image,
     is_empty,
     is_finite,
-    membership,
     min_member,
     syntactic_of,
+    text_evaluator,
     theta_class_recognizer,
     trim,
     union,
@@ -298,8 +297,7 @@ def _cmd_parse(ws, args):
 
 def _cmd_eval(ws, args):
     rec = _get_rec(ws, args)
-    t = parse_term(args.term, rec.table)
-    value = eval_of(rec, t)
+    value, _ = text_evaluator(rec)(args.term)
     ok = value in rec.finals
     if args.json:
         print(
@@ -320,15 +318,16 @@ def _cmd_recognize(ws, args):
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    evaluate = text_evaluator(rec)
     all_ok = True
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        t = parse_term(line, rec.table)
-        ok = membership(rec, t)
+        value, term = evaluate(line)
+        ok = value in rec.finals
         all_ok = all_ok and ok
-        print(("accept" if ok else "reject") + "\t" + render(t))
+        print(("accept" if ok else "reject") + "\t" + term)
     return 0 if all_ok else 1
 
 

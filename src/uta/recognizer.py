@@ -32,12 +32,15 @@ from .syntactic import SyntacticResult, syntactic_algebra
 from .trees import (
     HOLE,
     SymbolTable,
+    TermError,
     TermGMorphism,
     Tree,
+    _tokenize,
     enumerate_trees,
     height,
     is_context,
     leaf,
+    parse_term,
     render,
     size,
     sort_trees,
@@ -79,6 +82,74 @@ def eval_of(rec: Recognizer, t: Tree):
 
 def membership(rec: Recognizer, t: Tree) -> bool:
     return eval_of(rec, t) in rec.finals
+
+
+def _token_value(tokens: list, starts: dict, atoms: dict):
+    """Value of the term the tokens spell (end marker None); KeyError or
+    IndexError on an unknown or misplaced token or a letter with no row.
+    Each open node is a state of its machine; its parent reads a finished
+    child at once."""
+    frames = []  # the states of the enclosing open nodes
+    state = None  # the state of the innermost open node
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tokens[i] == "(":
+            frames.append(state)
+            state = starts[tok]
+            i += 1
+            continue
+        value = atoms[tok]
+        # a finished node: its parent reads it, closing every node it ends
+        while state is not None:
+            state = state[0][value]
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                raise KeyError(tok)
+            value = state[1]
+            state = frames.pop()
+        else:
+            break
+    if tokens[i] is not None:
+        raise KeyError(tokens[i])
+    return value
+
+
+def text_evaluator(rec: Recognizer):
+    """A function from term text to ``(value, canonical text)``, equal to
+    ``(eval_of(rec, t), render(t))`` for ``t = parse_term(text, rec.table)``
+    but read in one pass over the tokens, with no tree built: each machine
+    state is a (row, output) pair whose row maps a letter to the next state,
+    and the canonical text is the tokens joined.  Text that is no term over
+    the table goes through ``parse_term`` and ``eval_of``, so every error is
+    theirs."""
+    starts, atoms = {}, dict(rec.valuation)
+    for f in rec.table.operators:
+        m = rec.algebra.ops[f]
+        states = {q: ({}, m.out[q]) for q in m.states}
+        for (q, a), q2 in m.delta.items():
+            states[q][0][a] = states[q2]
+        starts[f] = states[m.start]
+        atoms[f] = m.out[m.start]
+
+    def evaluate(text: str) -> tuple:
+        try:
+            tokens = _tokenize(text)
+            tokens.append(None)
+            value = _token_value(tokens, starts, atoms)
+        except (TermError, KeyError, IndexError):
+            pass  # no term: the reference path raises its own error
+        else:
+            tokens.pop()
+            return value, "".join(tokens)
+        t = parse_term(text, rec.table)
+        return eval_of(rec, t), render(t)
+
+    return evaluate
 
 
 def eval_context(rec: Recognizer, p: Tree, hole_value):

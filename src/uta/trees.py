@@ -432,11 +432,25 @@ def root_segment(t: Tree, k: int):
         raise ValueError("k must be >= 0")
     if k == 0:
         return EMPTY_ROOT
-    if k == 1:
-        return t if not t.children else Tree(t.label)
-    if _shorter_than(t, k):
-        return t
-    return Tree(t.label, tuple(root_segment(c, k - 1) for c in t.children))
+    if k == 1 or not t.children:
+        return Tree(t.label) if t.children else t
+    # Post-order over the top k levels; a node's segment is the node itself
+    # exactly when each of its children's segments is the child itself.
+    frames = []
+    u, kids, segs, left = t, iter(t.children), [], k - 1
+    while True:
+        for c in kids:
+            if left > 1 and c.children:
+                frames.append((u, kids, segs, left))
+                u, kids, segs, left = c, iter(c.children), [], left - 1
+                break
+            segs.append(Tree(c.label) if c.children else c)
+        else:
+            new = u if all(a is b for a, b in zip(segs, u.children)) else Tree(u.label, segs)
+            if not frames:
+                return new
+            u, kids, segs, left = frames.pop()
+            segs.append(new)
 
 
 def bounded_subtrees(t: Tree, k: int) -> frozenset:
@@ -464,18 +478,52 @@ def embeds(s: Tree, t: Tree) -> bool:
     same number of children embedding componentwise, or s embeds into some
     child of t.  Note the arity match in the middle clause: a bare
     operator f does not embed into f(t1,...,tm) unless f occurs lower.
+
+    A table over (node of s, node of t) pairs, O(|s|·|t|): post-order over
+    t, each node with the bit set of the nodes of s that embed into it.
+    The nodes of s are numbered in post-order, so a node's last child is
+    the node just below it, and that child's test is one shift for all.
     """
-    if s == t:
-        return True
-    if (
-        not s.is_leaf
-        and not t.is_leaf
-        and s.label == t.label
-        and len(s.children) == len(t.children)
-        and all(embeds(a, b) for a, b in zip(s.children, t.children))
-    ):
-        return True
-    return any(embeds(s, c) for c in t.children)
+    kids_of = []  # node number of s -> the numbers of its children
+    shapes = {}  # (label, is_leaf, arity) -> bit set of the nodes of s of that shape
+    stack = [(s, iter(s.children), [])]
+    while stack:
+        u, kids, numbers = stack[-1]
+        c = next(kids, None)
+        if c is not None:
+            stack.append((c, iter(c.children), []))
+            continue
+        stack.pop()
+        shape = (u.label, u.is_leaf, len(numbers))
+        shapes[shape] = shapes.get(shape, 0) | 1 << len(kids_of)
+        if stack:
+            stack[-1][2].append(len(kids_of))
+        kids_of.append(numbers)
+    root = 1 << (len(kids_of) - 1)  # s itself
+    stack = [(t, iter(t.children), [])]
+    while stack:
+        v, kids, below = stack[-1]
+        c = next(kids, None)
+        if c is not None:
+            stack.append((c, iter(c.children), []))
+            continue
+        stack.pop()
+        match = shapes.get((v.label, v.is_leaf, len(below)), 0)
+        if below:
+            match &= below[-1] << 1
+            rest = match if len(below) > 1 else 0
+            while rest:  # the other children, one node of s at a time
+                low = rest & -rest
+                rest ^= low
+                if not all(b >> k & 1 for b, k in zip(below, kids_of[low.bit_length() - 1])):
+                    match ^= low
+            for b in below:
+                match |= b
+        if match & root:
+            return True
+        if stack:
+            stack[-1][2].append(match)
+    return False
 
 
 def pieces(t: Tree, k: int) -> frozenset:

@@ -30,6 +30,7 @@ from .recognizer import Recognizer
 from .trees import SymbolTable, TermGMorphism, parse_term
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*|->|[{};:,()@]")
+_NAME = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*")
 
 
 class WorkspaceError(ValueError):
@@ -54,10 +55,15 @@ class Workspace:
 
 class _Tokens:
     def __init__(self, text: str, path: str):
+        """One ``findall`` per line; the character scan reports a fault."""
         self.path = path
         self.items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0]
+            tokens = _TOKEN.findall(body)
+            if "".join(tokens) == "".join(body.split()):
+                self.items += [(tok, lineno) for tok in tokens]
+                continue
             pos = 0
             while pos < len(body):
                 if body[pos].isspace():
@@ -93,7 +99,7 @@ class _Tokens:
 
     def take_name(self, what="name"):
         tok, line = self.take()
-        if not re.fullmatch(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*", tok):
+        if not _NAME.fullmatch(tok):
             raise WorkspaceError(f"expected {what}, got {tok!r}", self.path, line)
         return tok, line
 

@@ -509,3 +509,63 @@ def test_keys_and_images_match_the_recursive_versions():
                 apply_term_gmorphism(narrow, t)
         else:
             assert apply_term_gmorphism(narrow, t) == want
+
+
+def _root_segment_recursive(t, k):
+    if k == 0:
+        return EMPTY_ROOT
+    if k == 1:
+        return t if not t.children else op(t.label)
+    if height(t) < k:
+        return t
+    return op(t.label, [_root_segment_recursive(c, k - 1) for c in t.children])
+
+
+def _embeds_recursive(s, t, memo):
+    """The recursive definition; ``memo`` holds the pairs met before, by
+    identity, since enumerated trees share their subtrees."""
+    key = (id(s), id(t))
+    if key not in memo:
+        memo[key] = (
+            s == t
+            or (
+                not s.is_leaf
+                and not t.is_leaf
+                and s.label == t.label
+                and len(s.children) == len(t.children)
+                and all(_embeds_recursive(a, b, memo) for a, b in zip(s.children, t.children))
+            )
+            or any(_embeds_recursive(s, c, memo) for c in t.children)
+        )
+    return memo[key]
+
+
+def test_root_segment_and_embeds_match_the_recursive_versions():
+    trees = list(enumerate_trees(TAB, 4, 3))
+    memo: dict = {}
+    assert [embeds(s, t) for s in trees for t in trees] == [
+        _embeds_recursive(s, t, memo) for s in trees for t in trees
+    ]
+    for t in enumerate_trees(TAB, 5, 3):
+        for k in range(6):
+            assert root_segment(t, k) == _root_segment_recursive(t, k)
+
+
+def test_root_segment_and_embeds_on_deep_chains():
+    t = _chain(10_000)
+    for k in (1, 2, 1_500, 9_999, 10_000):
+        top = op("f")  # k levels of f, the lowest one cut bare
+        for _ in range(k - 1):
+            top = op("f", [top])
+        assert root_segment(t, k) == top
+    assert root_segment(t, 10_001) is t and root_segment(t, 20_000) is t
+    assert abstraction_key(t, Definite(1_500)) == abstraction_key(_chain(10_000), Definite(1_500))
+    assert abstraction_key(t, Definite(1_500)) != abstraction_key(_chain(1_498), Definite(1_500))
+    assert embeds(leaf("x"), t) and embeds(op("f", [leaf("x")]), t) and not embeds(op("f"), t)
+    assert embeds(_chain(5_000), t) and embeds(t, _chain(10_000))
+    assert not embeds(t, _chain(9_999))
+    assert not embeds(_chain(5_000, bottom="y"), t)
+    assert not embeds(op("f", [leaf("x"), leaf("x")]), t)
+    fork = op("f", [t, _chain(3, bottom="y")])
+    assert embeds(op("f", [leaf("x"), leaf("y")]), fork)
+    assert not embeds(op("f", [leaf("y"), leaf("x")]), fork)

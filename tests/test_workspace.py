@@ -1,8 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from uta import membership, parse_term
 from uta.workspace import (
+    _TOKEN,
     WorkspaceError,
+    _Tokens,
     dump_algebra,
     dump_recognizer,
     load_workspace_text,
@@ -125,3 +130,56 @@ recognizer r { algebra: a; finals: 0; }
     ws = load_workspace_text(text)
     rec = ws.recognizers["r"]
     assert membership(rec, parse_term("f", rec.table))
+
+
+# ---------------------------------------------------------------------------
+# The line scanner against the character scanner it replaced
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _scan_reference(text, path):
+    """The workspace tokens as the character-at-a-time scanner made them."""
+    items = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        pos = 0
+        while pos < len(body):
+            if body[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN.match(body, pos)
+            if not m:
+                raise WorkspaceError(f"unexpected character {body[pos]!r}", path, lineno)
+            items.append((m.group(0), lineno))
+            pos = m.end()
+    return items
+
+
+def _scan_outcome(fn, text):
+    try:
+        return ("ok", fn(text))
+    except WorkspaceError as e:
+        return (str(e), e.line)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.uta")), ids=lambda p: p.name)
+def test_line_scanner_matches_the_character_scanner_on_fixtures(path):
+    text = path.read_text(encoding="utf-8")
+    assert _Tokens(text, str(path)).items == _scan_reference(text, str(path))
+
+
+def test_line_scanner_reports_what_the_character_scanner_reports():
+    rng = random.Random(20261020)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.uta"))] + [PARITY_TEXT]
+    pieces = ["$", "!", "-", "a-", "-b", "->", "->-", "--", " ", " ", "\f", "\v", "é", "#", " ", "\t", "\n", "x"]
+    seen = set()
+    for _ in range(400):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(pieces) + text[i:]
+        got = _scan_outcome(lambda s: _Tokens(s, "w.uta").items, text)
+        assert got == _scan_outcome(lambda s: _scan_reference(s, "w.uta"), text)
+        seen.add(got[0] == "ok")
+    assert seen == {True, False}
