@@ -50,12 +50,11 @@ from .trees import (
     Tree,
     TreeBank,
     compose,
-    enumerate_trees,
-    leaf,
     op,
     plug,
     render,
-    size,
+    subtrees,
+    validate_tree,
 )
 
 
@@ -416,61 +415,50 @@ def decide_nil(rec: Recognizer) -> VarietyVerdict:
 def nilpotent_recognizer_for_finite(member_trees, table: SymbolTable) -> Recognizer:
     """Recognizer for an explicitly listed finite language.
 
-    The carrier holds every tree smaller than the threshold (one past the
-    largest member) plus one absorbing element; each machine rebuilds the
-    tree under construction and falls into the absorbing element as soon
-    as the threshold is hit.  Every tree at or above the threshold then
-    evaluates to the sink, so the algebra is nilpotent of degree at most
-    the threshold.
+    The carrier holds the renderings of the members' distinct subtrees in
+    (size, rendering) order, plus one absorbing element ``⊥``.  A leaf is
+    its rendering if it is a member subtree and ``⊥`` otherwise.  The
+    machine of ``f`` is a trie over the child words of the ``f``-nodes among
+    those subtrees: it emits the rendering of ``f(w)`` when that is a
+    member subtree and ``⊥`` otherwise, and a word off the trie or one
+    reading ``⊥`` falls into the absorbing state ``"over"``.  So every tree
+    that is not a member subtree evaluates to ``⊥``, and the algebra is
+    nilpotent of degree at most one past the largest member.
+
+    The build is quadratic in the members' total size: a complete machine
+    has one transition per trie state and carrier element.
     """
-    members = []
-    seen = set()
-    for t in member_trees:
-        if render(t) not in seen:
-            seen.add(render(t))
-            members.append(t)
-    k = max((size(t) for t in members), default=0) + 1
     sink = "⊥"
-    small = list(enumerate_trees(table, k - 1, max_arity=max(k, 1))) if k >= 2 else []
-    by_render = {render(t): t for t in small}
-    carrier = tuple(render(t) for t in small) + (sink,)
+    nodes: dict = {}  # subtree rendering -> size, each after its children
+    built: dict = {f: {} for f in table.operators}  # f -> child word -> f(word)
+    finals = set()
+    for t in member_trees:
+        validate_tree(table, t)
+        for s in reversed(list(subtrees(t))):
+            r, kids = render(s), tuple(map(render, s.children))
+            if r not in nodes:
+                nodes[r] = 1 + sum(nodes[c] for c in kids)
+                if not s.is_leaf:
+                    built[s.label][kids] = r
+        finals.add(r)  # the last subtree listed is t itself
+    carrier = tuple(sorted(nodes, key=lambda r: (nodes[r], r))) + (sink,)
+    pos = {a: i for i, a in enumerate(carrier)}
     ops = {}
     for f in table.operators:
-        states = [()]
-        state_set = {()}
-        queue = deque([()])
-        while queue:
-            w = queue.popleft()
-            used = sum(size(by_render[r]) for r in w)
-            for r in by_render:
-                if 1 + used + size(by_render[r]) <= k - 1:
-                    w2 = w + (r,)
-                    if w2 not in state_set:
-                        state_set.add(w2)
-                        states.append(w2)
-                        queue.append(w2)
-        states.append("over")
-        delta = {}
-        out = {}
-        for st in states:
-            if st == "over":
-                for a in carrier:
-                    delta[(st, a)] = "over"
-                out[st] = sink
-                continue
-            for a in carrier:
-                if a == sink:
-                    delta[(st, a)] = "over"
-                else:
-                    w2 = st + (a,)
-                    delta[(st, a)] = w2 if w2 in state_set else "over"
-            built = Tree(f, tuple(by_render[r] for r in st))
-            out[st] = render(built) if size(built) <= k - 1 else sink
-        ops[f] = MooreMachine(tuple(states), carrier, (), delta, out)
+        prefixes = {w[:i] for w in built[f] for i in range(len(w) + 1)} | {()}
+        states = sorted(prefixes, key=lambda w: (len(w), [pos[a] for a in w]))
+        delta = {
+            (q, a): q + (a,) if q + (a,) in prefixes else "over"
+            for q in states
+            for a in carrier
+        }
+        delta.update((("over", a), "over") for a in carrier)
+        out = {q: built[f].get(q, sink) for q in states}
+        out["over"] = sink
+        ops[f] = MooreMachine(tuple(states) + ("over",), carrier, (), delta, out)
     alg = RegularAlgebra(carrier, tuple(table.operators), ops)
-    valuation = {x: (render(leaf(x)) if k >= 2 else sink) for x in table.leaves}
-    finals = frozenset(render(t) for t in members)
-    return Recognizer(alg, table, valuation, finals)
+    valuation = {x: x if x in nodes else sink for x in table.leaves}
+    return Recognizer(alg, table, valuation, frozenset(finals))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import RegularAlgebra
-from .horizon import MooreMachine
+from .horizon import MachineError, MooreMachine
 from .recognizer import Recognizer
 from .trees import SymbolTable, TermGMorphism, parse_term
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*|->|[{};:,()@]")
-_NAME = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*")
+_PUNCTUATION = frozenset(["->", *"{};:,()@"])  # every other token is a name
 
 
 class WorkspaceError(ValueError):
@@ -99,7 +99,7 @@ class _Tokens:
 
     def take_name(self, what="name"):
         tok, line = self.take()
-        if not _NAME.fullmatch(tok):
+        if tok in _PUNCTUATION:
             raise WorkspaceError(f"expected {what}, got {tok!r}", self.path, line)
         return tok, line
 
@@ -113,14 +113,38 @@ class _Tokens:
         return names
 
 
+def _fields(toks: _Tokens, what="field"):
+    """The key and line of each field of a ``{ ... }`` block, braces taken;
+    the caller reads the rest of each field."""
+    toks.take("{")
+    while toks.peek() != "}":
+        yield toks.take_name(what)
+    toks.take("}")
+
+
+def _arrows(toks: _Tokens, left, right):
+    """The ``left... -> right`` entries of a list up to its ';', which is
+    taken; commas between entries are optional.  ``left`` says what each
+    name before the arrow is, ``right`` what the name after it is, or None
+    for a term.  Yields (left name, or the pair of them, line, right)."""
+    while (tok := toks.peek()) != ";":
+        if tok == ",":
+            toks.take(",")
+            continue
+        key, line = toks.take_name(left[0])
+        if len(left) == 2:
+            key = key, toks.take_name(left[1])[0]
+        toks.take("->")
+        yield key, line, toks.take_name(right)[0] if right else _collect_term(toks)
+    toks.take(";")
+
+
 def _parse_machine_body(toks: _Tokens, elements, opname):
     states = []
     start = None
     out = {}
     delta = {}
-    toks.take("{")
-    while toks.peek() != "}":
-        key, line = toks.take_name("machine field")
+    for key, line in _fields(toks, "machine field"):
         toks.take(":")
         if key == "states":
             states = toks.names_until()
@@ -129,37 +153,21 @@ def _parse_machine_body(toks: _Tokens, elements, opname):
             start = toks.take_name()[0]
             toks.take(";")
         elif key == "out":
-            while toks.peek() != ";":
-                if toks.peek() == ",":
-                    toks.take(",")
-                    continue
-                q, qline = toks.take_name("state")
-                toks.take("->")
-                e = toks.take_name("element")[0]
+            for q, qline, e in _arrows(toks, ("state",), "element"):
                 if q in out:
                     raise WorkspaceError(
                         f"duplicate output for state {q}", toks.path, qline
                     )
                 out[q] = e
-            toks.take(";")
         elif key == "delta":
-            while toks.peek() != ";":
-                if toks.peek() == ",":
-                    toks.take(",")
-                    continue
-                q, qline = toks.take_name("state")
-                a = toks.take_name("letter")[0]
-                toks.take("->")
-                q2 = toks.take_name("state")[0]
+            for (q, a), qline, q2 in _arrows(toks, ("state", "letter"), "state"):
                 if (q, a) in delta:
                     raise WorkspaceError(
                         f"duplicate transition ({q}, {a})", toks.path, qline
                     )
                 delta[(q, a)] = q2
-            toks.take(";")
         else:
             raise WorkspaceError(f"unknown machine field {key!r}", toks.path, line)
-    toks.take("}")
     if not states:
         raise WorkspaceError(f"op {opname}: no states", toks.path, toks.line())
     if start is None:
@@ -184,7 +192,10 @@ def _parse_machine_body(toks: _Tokens, elements, opname):
             toks.path,
             toks.line(),
         )
-    return MooreMachine(tuple(states), tuple(elements), start, delta, out)
+    try:
+        return MooreMachine(tuple(states), tuple(elements), start, delta, out)
+    except MachineError as e:
+        raise WorkspaceError(f"op {opname}: {e}", toks.path, toks.line()) from e
 
 
 def _parse_field_value(toks: _Tokens):
@@ -192,6 +203,14 @@ def _parse_field_value(toks: _Tokens):
     names = toks.names_until()
     toks.take(";")
     return names
+
+
+def _parse_reference(toks: _Tokens, where, key, line):
+    """The name a ``key: name;`` field refers to (the first, if several)."""
+    names = _parse_field_value(toks)
+    if not names:
+        raise WorkspaceError(f"{where}: empty {key!r} field", toks.path, line)
+    return names[0]
 
 
 def _collect_term(toks: _Tokens) -> str:
@@ -247,11 +266,10 @@ def _load_text(ws: Workspace, text: str, path: str):
     while toks.peek() is not None:
         section, line = toks.take_name("section")
         name, _ = toks.take_name(f"{section} name")
+        where = f"{section} {name}"
         if section == "symbols":
-            toks.take("{")
             operators, leaves = [], []
-            while toks.peek() != "}":
-                key, kline = toks.take_name("field")
+            for key, kline in _fields(toks):
                 values = _parse_field_value(toks)
                 if key == "operators":
                     operators = values
@@ -259,21 +277,18 @@ def _load_text(ws: Workspace, text: str, path: str):
                     leaves = values
                 else:
                     raise WorkspaceError(f"unknown symbols field {key!r}", path, kline)
-            toks.take("}")
             try:
                 table = SymbolTable(tuple(operators), tuple(leaves))
             except ValueError as e:
                 raise WorkspaceError(str(e), path, line) from e
             _register(ws.symbols, "symbols", name, table, path, line)
         elif section == "algebra":
-            toks.take("{")
             symref = None
             elements = []
             machines = {}
-            while toks.peek() != "}":
-                key, kline = toks.take_name("field")
+            for key, kline in _fields(toks):
                 if key == "symbols":
-                    symref = _parse_field_value(toks)[0]
+                    symref = _parse_reference(toks, where, key, kline)
                 elif key == "elements":
                     elements = _parse_field_value(toks)
                 elif key == "op":
@@ -287,7 +302,6 @@ def _load_text(ws: Workspace, text: str, path: str):
                     machines[opname] = _parse_machine_body(toks, elements, opname)
                 else:
                     raise WorkspaceError(f"unknown algebra field {key!r}", path, kline)
-            toks.take("}")
             if symref is None or symref not in ws.symbols:
                 raise WorkspaceError(
                     f"algebra {name}: unknown symbols reference {symref!r}", path, line
@@ -314,36 +328,26 @@ def _load_text(ws: Workspace, text: str, path: str):
             _register(ws.algebras, "algebra", name, alg, path, line)
             ws.algebra_symbols[name] = symref
         elif section == "recognizer":
-            toks.take("{")
             algref = None
             valuation = {}
             finals = []
-            while toks.peek() != "}":
-                key, kline = toks.take_name("field")
+            for key, kline in _fields(toks):
                 if key == "algebra":
-                    algref = _parse_field_value(toks)[0]
+                    algref = _parse_reference(toks, where, key, kline)
                 elif key == "finals":
                     finals = _parse_field_value(toks)
                 elif key == "valuation":
                     toks.take(":")
-                    while toks.peek() != ";":
-                        if toks.peek() == ",":
-                            toks.take(",")
-                            continue
-                        x, xline = toks.take_name("leaf")
-                        toks.take("->")
-                        a = toks.take_name("element")[0]
+                    for x, xline, a in _arrows(toks, ("leaf",), "element"):
                         if x in valuation:
                             raise WorkspaceError(
                                 f"duplicate valuation for {x}", path, xline
                             )
                         valuation[x] = a
-                    toks.take(";")
                 else:
                     raise WorkspaceError(
                         f"unknown recognizer field {key!r}", path, kline
                     )
-            toks.take("}")
             if algref is None or algref not in ws.algebras:
                 raise WorkspaceError(
                     f"recognizer {name}: unknown algebra reference {algref!r}",
@@ -361,41 +365,26 @@ def _load_text(ws: Workspace, text: str, path: str):
                 raise WorkspaceError(f"recognizer {name}: {e}", path, line) from e
             _register(ws.recognizers, "recognizer", name, rec, path, line)
         elif section == "gmorphism":
-            toks.take("{")
             src = dst = None
             iota = {}
             alpha_text = {}
-            while toks.peek() != "}":
-                key, kline = toks.take_name("field")
+            for key, kline in _fields(toks):
                 if key == "from":
-                    src = _parse_field_value(toks)[0]
+                    src = _parse_reference(toks, where, key, kline)
                 elif key == "to":
-                    dst = _parse_field_value(toks)[0]
+                    dst = _parse_reference(toks, where, key, kline)
                 elif key == "iota":
                     toks.take(":")
-                    while toks.peek() != ";":
-                        if toks.peek() == ",":
-                            toks.take(",")
-                            continue
-                        f, _ = toks.take_name("operator")
-                        toks.take("->")
-                        iota[f] = toks.take_name("operator")[0]
-                    toks.take(";")
+                    for f, _, g in _arrows(toks, ("operator",), "operator"):
+                        iota[f] = g
                 elif key == "alpha":
                     toks.take(":")
-                    while toks.peek() != ";":
-                        if toks.peek() == ",":
-                            toks.take(",")
-                            continue
-                        x, _ = toks.take_name("leaf")
-                        toks.take("->")
-                        alpha_text[x] = _collect_term(toks)
-                    toks.take(";")
+                    for x, _, term in _arrows(toks, ("leaf",), None):
+                        alpha_text[x] = term
                 else:
                     raise WorkspaceError(
                         f"unknown gmorphism field {key!r}", path, kline
                     )
-            toks.take("}")
             if src is None or src not in ws.symbols:
                 raise WorkspaceError(
                     f"gmorphism {name}: unknown source table {src!r}", path, line

@@ -1,15 +1,20 @@
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from uta import (
+    HOLE,
     Aperiodic,
     Definite,
     GenDefinite,
     LocTestable,
+    MooreMachine,
     Nilpotent,
     PwTestable,
+    Recognizer,
+    RegularAlgebra,
     ReverseDefinite,
     abstraction_key,
     complement,
@@ -20,17 +25,22 @@ from uta import (
     decide_variety,
     enumerate_contexts,
     enumerate_trees,
+    equivalent,
     eval_of,
     inverse_gmorphism_image,
+    leaf,
     membership,
     nilpotent_recognizer_for_finite,
+    op,
     parse_term,
     relabel_gmorphism,
+    render,
     saturation_probe,
     size,
     syntactic_of,
     SymbolTable,
 )
+from uta.trees import TermError, subtrees
 from uta.oracle import brute_variety_check, make_universe
 from uta.varieties import VarietyVerdict, _probe_bank, kind_name
 from uta.workspace import load_workspace
@@ -228,6 +238,88 @@ def test_nilpotent_recognizer_absorbs_large_trees():
     for t in enumerate_trees(PARITY_TABLE, 6, 3):
         if size(t) >= k:
             assert eval_of(rec, t) == "⊥"
+
+
+def enumerated_nilpotent_recognizer(member_trees, table):
+    """Reference: the carrier is every tree below one past the largest
+    member, plus ``⊥``; each machine rebuilds the tree under construction."""
+    members = list({render(t): t for t in member_trees}.values())
+    k = max((size(t) for t in members), default=0) + 1
+    sink = "⊥"
+    small = list(enumerate_trees(table, k - 1, max_arity=max(k, 1))) if k >= 2 else []
+    by_render = {render(t): t for t in small}
+    carrier = tuple(by_render) + (sink,)
+    ops = {}
+    for f in table.operators:
+        states, queue = [()], deque([()])
+        while queue:
+            w = queue.popleft()
+            used = sum(size(by_render[r]) for r in w)
+            for r in by_render:
+                if 1 + used + size(by_render[r]) <= k - 1:
+                    states.append(w + (r,))
+                    queue.append(w + (r,))
+        state_set = set(states)
+        delta = {("over", a): "over" for a in carrier}
+        out = {"over": sink}
+        for st in states:
+            for a in carrier:
+                w2 = st + (a,)
+                delta[(st, a)] = w2 if w2 in state_set else "over"
+            built = op(f, [by_render[r] for r in st])
+            out[st] = render(built) if size(built) <= k - 1 else sink
+        ops[f] = MooreMachine(tuple(states) + ("over",), carrier, (), delta, out)
+    alg = RegularAlgebra(carrier, tuple(table.operators), ops)
+    valuation = {x: (x if k >= 2 else sink) for x in table.leaves}
+    return Recognizer(alg, table, valuation, frozenset(map(render, members)))
+
+
+def seeded_member_sets(table, max_size, count, seed):
+    rng = random.Random(seed)
+    pool = list(enumerate_trees(table, max_size, 3))
+    return [rng.sample(pool, rng.randint(1, 3)) for _ in range(count)]
+
+
+TWO_BY_TWO = SymbolTable(("f", "g"), ("x", "y"))
+MEMBER_SETS = [
+    pytest.param(table, members, id=f"{name}-{i}")
+    for name, table, max_size, seed in (("fx", PARITY_TABLE, 4, 11), ("fgxy", TWO_BY_TWO, 3, 12))
+    for i, members in enumerate(seeded_member_sets(table, max_size, 10, seed))
+]
+
+
+@pytest.mark.parametrize("table, members", MEMBER_SETS)
+def test_listed_language_against_enumeration(table, members):
+    rec = nilpotent_recognizer_for_finite(members, table)
+    listed = {render(t) for t in members}
+    parts = {render(s) for t in members for s in subtrees(t)}
+    assert len(rec.algebra.elements) == len(parts) + 1
+    bound = max((size(t) for t in members), default=0) + 2
+    for t in enumerate_trees(table, bound, bound):
+        assert membership(rec, t) == (render(t) in listed)
+        assert eval_of(rec, t) == (render(t) if render(t) in parts else "⊥")
+    ref = enumerated_nilpotent_recognizer(members, table)
+    assert equivalent(rec, ref) == (True, None)
+    # the carrier keeps the reference's names, in its order
+    order = {a: i for i, a in enumerate(ref.algebra.elements)}
+    assert sorted(rec.algebra.elements, key=order.get) == list(rec.algebra.elements)
+
+
+def test_listed_language_rejects_foreign_members():
+    with pytest.raises(TermError, match="unknown leaf symbol 'y'"):
+        nilpotent_recognizer_for_finite([parse_term("f(y)", TWO_BY_TWO)], PARITY_TABLE)
+    with pytest.raises(TermError, match="hole not allowed"):
+        nilpotent_recognizer_for_finite([op("f", [leaf(HOLE)])], PARITY_TABLE)
+
+
+def test_listed_language_of_a_deep_member():
+    t = parse_term("x", PARITY_TABLE)
+    for _ in range(300):
+        t = op("f", [t])
+    rec = nilpotent_recognizer_for_finite([t], PARITY_TABLE)
+    assert len(rec.algebra.elements) == 302
+    assert membership(rec, t) and not membership(rec, t.children[0])
+    assert not membership(rec, op("f", [t]))
 
 
 def test_probe_confirms_genuine_members():

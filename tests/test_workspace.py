@@ -132,6 +132,37 @@ recognizer r { algebra: a; finals: 0; }
     assert membership(rec, parse_term("f", rec.table))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("symbols: sym;", "symbols: ;", "algebra parity: empty 'symbols' field"),
+        ("algebra: parity;", "algebra: ;", "recognizer odd: empty 'algebra' field"),
+        ("from: hsym;", "from: ;", "gmorphism hm: empty 'from' field"),
+        ("to: sym;", "to: ;", "gmorphism hm: empty 'to' field"),
+    ],
+)
+def test_empty_reference_field(old, new, message):
+    text = PARITY_TEXT + "symbols hsym { operators: h; }\ngmorphism hm { from: hsym; to: sym; iota: h -> f; }\n"
+    line = next(i for i, s in enumerate(text.splitlines(), 1) if old in s)
+    with pytest.raises(WorkspaceError, match=message) as exc:
+        load_workspace_text(text.replace(old, new), "w.uta")
+    assert (exc.value.path, exc.value.line) == ("w.uta", line)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("states: q0 q1;", "states: q0 q1 q0;", "op f: duplicate state or letter"),
+        ("start: q0;", "start: q9;", "op f: start state 'q9' not a state"),
+        ("q1 1 -> q0;", "q1 1 -> zz;", "op f: transition into unknown state 'zz'"),
+    ],
+)
+def test_machine_error_carries_line(old, new, message):
+    with pytest.raises(WorkspaceError, match=message) as exc:
+        load_workspace_text(PARITY_TEXT.replace(old, new), "w.uta")
+    assert (exc.value.path, exc.value.line) == ("w.uta", 12)
+
+
 # ---------------------------------------------------------------------------
 # The line scanner against the character scanner it replaced
 
