@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from .horizon import (
     MachineError,
     MooreMachine,
-    WellDefinednessError,
     _product_reach,
-    class_quotient_machine,
     machine_disagreement,
     reachable_with_witnesses,
     restrict_machine,
@@ -292,24 +290,115 @@ def m_operator(alg: RegularAlgebra, theta: Partition) -> Partition:
     return Partition.from_pairs(alg.sigma, merged)
 
 
+def _refine(alg: RegularAlgebra, key):
+    """The coarsest congruence inside the partition of the carrier by
+    ``key``, with the final classes of the machines' reachable states.
+
+    Two elements are congruent iff no translation separates them relative
+    to the starting partition.  A translation is a chain of wrappings
+    a -> f(u a v), and f(u a v) is the output of f's machine after reading
+    v from delta(q, a), where q is the state u reaches.  So the congruence
+    is the greatest relation inside the key's classes that relates a and b
+    only if delta(q, a) and delta(q, b) are equivalent for every operator
+    and every reachable state q; two states of one machine are equivalent
+    iff their outputs are congruent and every letter leads them to
+    equivalent states.  Moore-style rounds refine elements and states
+    together from the key's classes and one block per machine until
+    nothing splits: each round costs carrier size times reachable states,
+    and there are at most as many rounds as elements and states.
+
+    States count as reachable over every carrier letter, so the result is
+    right for untrimmed algebras too.  The state classes are keyed by
+    (index of the operator in ``sigma``, state).
+    """
+    elements = alg.elements
+    machines = []
+    for f in alg.sigma:
+        m = alg.ops[f]
+        states, _ = reachable_with_witnesses(m)
+        machines.append((m, states))
+    elem = {a: key(a) for a in elements}
+    state = {(i, q): i for i, (_m, states) in enumerate(machines) for q in states}
+    count = len(set(elem.values())) + len(machines)
+    while True:
+        ids: dict = {}
+        new_state = {
+            (i, q): ids.setdefault(
+                (
+                    state[(i, q)],
+                    elem[m.out[q]],
+                    tuple(state[(i, m.delta[(q, c)])] for c in elements),
+                ),
+                len(ids),
+            )
+            for i, (m, states) in enumerate(machines)
+            for q in states
+        }
+        new_elem = {
+            a: ids.setdefault(
+                (
+                    elem[a],
+                    tuple(
+                        state[(i, m.delta[(q, a)])]
+                        for i, (m, states) in enumerate(machines)
+                        for q in states
+                    ),
+                ),
+                len(ids),
+            )
+            for a in elements
+        }
+        if len(ids) == count:
+            return Partition.from_key(elements, elem.__getitem__), state
+        elem, state, count = new_elem, new_state, len(ids)
+
+
+def _quotient(alg: RegularAlgebra, theta: Partition, state_classes) -> RegularAlgebra:
+    """The quotient by a congruence, read off the state classes ``_refine``
+    returned with it.
+
+    At the fixpoint the state classes are the Moore equivalence of each
+    machine with outputs mapped to carrier classes, so each class is one
+    state of the minimal machine over class letters.  A class letter is
+    read through the first element of its block, and states are named
+    q0, q1, ... in the breadth-first order that first meets each class.
+    """
+    firsts = tuple(b[0] for b in theta.blocks)
+    name = {a: theta.class_name(a) for a in firsts}
+    letters = tuple(name.values())
+    ops = {}
+    for i, f in enumerate(alg.sigma):
+        m = alg.ops[f]
+        reps: dict = {}
+        for q in reachable_with_witnesses(m, firsts)[0]:
+            reps.setdefault(state_classes[(i, q)], q)
+        qname = {c: f"q{n}" for n, c in enumerate(reps)}
+        delta = {
+            (qname[c], name[a]): qname[state_classes[(i, m.delta[(q, a)])]]
+            for c, q in reps.items()
+            for a in firsts
+        }
+        out = {qname[c]: theta.class_name(m.out[q]) for c, q in reps.items()}
+        ops[f] = MooreMachine(tuple(qname.values()), letters, "q0", delta, out)
+    return RegularAlgebra(letters, alg.sigma, ops)
+
+
 def quotient_algebra(alg: RegularAlgebra, theta: Partition) -> RegularAlgebra:
     """Carrier classes, one quotient machine per operator.
 
-    The machines are built by the subset construction over letter classes;
-    a well-definedness failure means theta was not a congruence.
+    Refinement from theta's classes ends at theta itself exactly when
+    theta is a congruence; otherwise the witness of ``is_congruence``
+    names the first operator that splits a class.
     """
     if set(theta.universe) != set(alg.elements):
         raise AlgebraError("partition universe is not the carrier")
-    carrier = tuple(theta.class_name(b[0]) for b in theta.blocks)
-    ops = {}
-    for f in alg.sigma:
-        try:
-            ops[f] = class_quotient_machine(alg.ops[f], theta, theta)
-        except WellDefinednessError as e:
-            raise NotACongruenceError(
-                f"theta is not a congruence for {f}", (f, e.classes)
-            ) from e
-    return RegularAlgebra(carrier, alg.sigma, ops)
+    refined, state_classes = _refine(alg, theta.class_index)
+    if refined.block_count != theta.block_count:
+        witness = is_congruence(alg, theta)[1]
+        raise NotACongruenceError(
+            f"theta is not a congruence for {witness[0]}", witness
+        )
+    return _quotient(alg, theta, state_classes)
 
 
 def g_quotient(alg: RegularAlgebra, gcong: GCongruence) -> RegularAlgebra:

@@ -10,20 +10,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .partition import Partition
-
 
 class MachineError(ValueError):
     pass
-
-
-class WellDefinednessError(MachineError):
-    """A quotient construction reached a state whose outputs span two classes."""
-
-    def __init__(self, message, state_set=None, classes=None):
-        super().__init__(message)
-        self.state_set = state_set
-        self.classes = classes
 
 
 @dataclass(frozen=True)
@@ -145,50 +134,6 @@ def tuple_product_machine(machines, alphabet) -> MooreMachine:
     return MooreMachine(tuple(states), alphabet, states[0], delta, out)
 
 
-def minimize_moore(m: MooreMachine) -> MooreMachine:
-    """Unique minimal machine for the same word function, states renamed q0..qn
-    in breadth-first order (so equivalent machines minimize identically)."""
-    states, _ = reachable_with_witnesses(m)
-    ids: dict = {}
-    cls = {q: ids.setdefault(m.out[q], len(ids)) for q in states}
-    while True:
-        ids2: dict = {}
-        nxt = {
-            q: ids2.setdefault(
-                (cls[q], tuple(cls[m.delta[(q, a)]] for a in m.alphabet)), len(ids2)
-            )
-            for q in states
-        }
-        if len(ids2) == len(set(cls.values())):
-            break
-        cls = nxt
-    # canonical rename along BFS order of the quotient
-    name: dict = {}
-    order = []
-    start_cls = cls[m.start]
-    name[start_cls] = "q0"
-    order.append((start_cls, m.start))
-    queue = deque([m.start])
-    seen = {start_cls}
-    while queue:
-        q = queue.popleft()
-        for a in m.alphabet:
-            q2 = m.delta[(q, a)]
-            if cls[q2] not in seen:
-                seen.add(cls[q2])
-                name[cls[q2]] = f"q{len(name)}"
-                order.append((cls[q2], q2))
-                queue.append(q2)
-    new_states = tuple(name[c] for c, _ in order)
-    delta = {}
-    out = {}
-    for c, q in order:
-        out[name[c]] = m.out[q]
-        for a in m.alphabet:
-            delta[(name[c], a)] = name[cls[m.delta[(q, a)]]]
-    return MooreMachine(new_states, m.alphabet, "q0", delta, out)
-
-
 def machine_disagreement(m1: MooreMachine, m2: MooreMachine):
     """Shortest word on which the two machines output differently, else None."""
     if m1.letters != m2.letters:
@@ -198,10 +143,6 @@ def machine_disagreement(m1: MooreMachine, m2: MooreMachine):
         if m1.out[q1] != m2.out[q2]:
             return tuple(a for a, _ in word)
     return None
-
-
-def machines_equivalent(m1: MooreMachine, m2: MooreMachine) -> bool:
-    return machine_disagreement(m1, m2) is None
 
 
 @dataclass(frozen=True)
@@ -237,48 +178,3 @@ def transition_monoid(m: MooreMachine) -> tuple:
                 order.append(StateFunction(nxt, found[nxt]))
                 queue.append(nxt)
     return tuple(order)
-
-
-def class_quotient_machine(
-    m: MooreMachine, theta_alphabet: Partition, theta_output: Partition
-) -> MooreMachine:
-    """Machine over letter classes via the subset construction.
-
-    A state is the set of m-states reachable by reading any representatives
-    of a class word.  Raises WellDefinednessError when some reachable set
-    carries outputs from two output classes (the partition is then not a
-    congruence for this operation).  The result is minimized.
-    """
-    if set(theta_alphabet.universe) != set(m.alphabet):
-        raise MachineError("alphabet partition over wrong universe")
-    letters = tuple(theta_alphabet.class_name(b[0]) for b in theta_alphabet.blocks)
-    blocks = {
-        theta_alphabet.class_name(b[0]): b for b in theta_alphabet.blocks
-    }
-    start = frozenset((m.start,))
-    states = [start]
-    seen = {start}
-    queue = deque([start])
-    delta = {}
-    while queue:
-        s = queue.popleft()
-        for cname in letters:
-            nxt = frozenset(m.delta[(q, a)] for q in s for a in blocks[cname])
-            delta[(s, cname)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-                queue.append(nxt)
-    out = {}
-    for s in states:
-        classes = {theta_output.class_index(m.out[q]) for q in s}
-        if len(classes) != 1:
-            raise WellDefinednessError(
-                "outputs of one reachable state set fall into two classes",
-                state_set=s,
-                classes=sorted(
-                    {theta_output.class_name(m.out[q]) for q in s}
-                ),
-            )
-        out[s] = theta_output.class_name(m.out[next(iter(s))])
-    return minimize_moore(MooreMachine(tuple(states), letters, start, delta, out))

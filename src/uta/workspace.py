@@ -139,7 +139,9 @@ def _arrows(toks: _Tokens, left, right):
     toks.take(";")
 
 
-def _parse_machine_body(toks: _Tokens, elements, opname):
+def _parse_machine_body(toks: _Tokens, elements, opname, opline):
+    """The machine of an ``op`` body; faults found after the body are
+    reported at the ``op`` line."""
     states = []
     start = None
     out = {}
@@ -169,20 +171,20 @@ def _parse_machine_body(toks: _Tokens, elements, opname):
         else:
             raise WorkspaceError(f"unknown machine field {key!r}", toks.path, line)
     if not states:
-        raise WorkspaceError(f"op {opname}: no states", toks.path, toks.line())
+        raise WorkspaceError(f"op {opname}: no states", toks.path, opline)
     if start is None:
-        raise WorkspaceError(f"op {opname}: no start state", toks.path, toks.line())
+        raise WorkspaceError(f"op {opname}: no start state", toks.path, opline)
     for q in states:
         if q not in out:
             raise WorkspaceError(
-                f"op {opname}: no output for state {q}", toks.path, toks.line()
+                f"op {opname}: no output for state {q}", toks.path, opline
             )
         for a in elements:
             if (q, a) not in delta:
                 raise WorkspaceError(
                     f"op {opname}: incomplete machine, missing transition ({q}, {a})",
                     toks.path,
-                    toks.line(),
+                    opline,
                 )
     extra = set(delta) - {(q, a) for q in states for a in elements}
     if extra:
@@ -190,12 +192,12 @@ def _parse_machine_body(toks: _Tokens, elements, opname):
         raise WorkspaceError(
             f"op {opname}: transition ({q}, {a}) uses an unknown state or letter",
             toks.path,
-            toks.line(),
+            opline,
         )
     try:
         return MooreMachine(tuple(states), tuple(elements), start, delta, out)
     except MachineError as e:
-        raise WorkspaceError(f"op {opname}: {e}", toks.path, toks.line()) from e
+        raise WorkspaceError(f"op {opname}: {e}", toks.path, opline) from e
 
 
 def _parse_field_value(toks: _Tokens):
@@ -206,10 +208,11 @@ def _parse_field_value(toks: _Tokens):
 
 
 def _parse_reference(toks: _Tokens, where, key, line):
-    """The name a ``key: name;`` field refers to (the first, if several)."""
+    """The one name a ``key: name;`` field refers to."""
     names = _parse_field_value(toks)
-    if not names:
-        raise WorkspaceError(f"{where}: empty {key!r} field", toks.path, line)
+    if len(names) != 1:
+        problem = "empty" if not names else f"{len(names)} names in"
+        raise WorkspaceError(f"{where}: {problem} {key!r} field", toks.path, line)
     return names[0]
 
 
@@ -299,7 +302,7 @@ def _load_text(ws: Workspace, text: str, path: str):
                             path,
                             opline,
                         )
-                    machines[opname] = _parse_machine_body(toks, elements, opname)
+                    machines[opname] = _parse_machine_body(toks, elements, opname, opline)
                 else:
                     raise WorkspaceError(f"unknown algebra field {key!r}", path, kline)
             if symref is None or symref not in ws.symbols:
@@ -375,11 +378,15 @@ def _load_text(ws: Workspace, text: str, path: str):
                     dst = _parse_reference(toks, where, key, kline)
                 elif key == "iota":
                     toks.take(":")
-                    for f, _, g in _arrows(toks, ("operator",), "operator"):
+                    for f, fline, g in _arrows(toks, ("operator",), "operator"):
+                        if f in iota:
+                            raise WorkspaceError(f"duplicate iota for {f}", path, fline)
                         iota[f] = g
                 elif key == "alpha":
                     toks.take(":")
-                    for x, _, term in _arrows(toks, ("leaf",), None):
+                    for x, xline, term in _arrows(toks, ("leaf",), None):
+                        if x in alpha_text:
+                            raise WorkspaceError(f"duplicate alpha for {x}", path, xline)
                         alpha_text[x] = term
                 else:
                     raise WorkspaceError(

@@ -200,6 +200,14 @@ def test_m_operator():
         m_operator(succ, bad)
 
 
+def test_quotient_refusal_carries_the_congruence_witness():
+    succ = _successor_algebra()
+    bad = Partition.from_blocks(("0", "1", "2"), [["0", "1"], ["2"]])
+    with pytest.raises(NotACongruenceError, match="^theta is not a congruence for f$") as err:
+        quotient_algebra(succ, bad)
+    assert err.value.witness == is_congruence(succ, bad)[1]
+
+
 def test_quotient_algebra():
     par = parity_algebra()
     one = quotient_algebra(par, Partition.universal(("0", "1")))

@@ -265,6 +265,69 @@ def test_ra_and_quotient_commands(capsys):
     assert code == 0 and "elements: e0;" in out
 
 
+def test_quotient_refuses_a_non_congruence(capsys):
+    code, out, err = run(
+        capsys,
+        "-w",
+        str(FIXTURES / "xml.uta"),
+        "quotient",
+        "--alg",
+        "xmlalg",
+        "--classes",
+        "0,2|3,4,5",
+    )
+    assert (code, out, err) == (2, "", "error: theta is not a congruence for invoices\n")
+
+
+XMLDOC_SA = """classes: 5
+  [0] = {0}
+  [2] = {2}
+  [3] = {3}
+  [4] = {4}
+  [5] = {5}
+symbols sym {
+  operators: invoices invoice line;
+  leaves: text;
+}
+
+algebra xmldoc_sa_algebra {
+  symbols: sym;
+  elements: e0 e1 e2 e3 e4;
+  op invoices {
+    states: q0 q1 q2;
+    start: q0;
+    out: q0 -> e0, q1 -> e0, q2 -> e4;
+    delta: q0 e0 -> q1, q0 e1 -> q1, q0 e2 -> q1, q0 e3 -> q2, q0 e4 -> q1, q1 e0 -> q1, q1 e1 -> q1, q1 e2 -> q1, q1 e3 -> q1, q1 e4 -> q1, q2 e0 -> q1, q2 e1 -> q1, q2 e2 -> q1, q2 e3 -> q2, q2 e4 -> q1;
+  }
+  op invoice {
+    states: q0 q1 q2;
+    start: q0;
+    out: q0 -> e0, q1 -> e0, q2 -> e3;
+    delta: q0 e0 -> q1, q0 e1 -> q1, q0 e2 -> q2, q0 e3 -> q1, q0 e4 -> q1, q1 e0 -> q1, q1 e1 -> q1, q1 e2 -> q1, q1 e3 -> q1, q1 e4 -> q1, q2 e0 -> q1, q2 e1 -> q1, q2 e2 -> q2, q2 e3 -> q1, q2 e4 -> q1;
+  }
+  op line {
+    states: q0 q1 q2;
+    start: q0;
+    out: q0 -> e0, q1 -> e0, q2 -> e2;
+    delta: q0 e0 -> q1, q0 e1 -> q2, q0 e2 -> q1, q0 e3 -> q1, q0 e4 -> q1, q1 e0 -> q1, q1 e1 -> q1, q1 e2 -> q1, q1 e3 -> q1, q1 e4 -> q1, q2 e0 -> q1, q2 e1 -> q1, q2 e2 -> q1, q2 e3 -> q1, q2 e4 -> q1;
+  }
+}
+
+recognizer xmldoc_sa {
+  algebra: xmldoc_sa_algebra;
+  valuation: text -> e1;
+  finals: e4;
+}
+"""
+
+
+def test_sa_print_dump_of_the_xml_fixture(capsys):
+    code, out, _ = run(
+        capsys, "-w", str(FIXTURES / "xml.uta"), "sa", "--rec", "xmldoc", "--print"
+    )
+    assert (code, out) == (0, XMLDOC_SA)
+
+
 def test_check_gmorphism_and_product(capsys):
     code, out, _ = run(
         capsys,

@@ -15,6 +15,8 @@ from uta.workspace import (
 
 from helpers import parity_odd
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 PARITY_TEXT = """
 # comment line
 symbols sym { operators: f; leaves: x; }
@@ -160,13 +162,61 @@ def test_empty_reference_field(old, new, message):
 def test_machine_error_carries_line(old, new, message):
     with pytest.raises(WorkspaceError, match=message) as exc:
         load_workspace_text(PARITY_TEXT.replace(old, new), "w.uta")
-    assert (exc.value.path, exc.value.line) == ("w.uta", 12)
+    assert (exc.value.path, exc.value.line) == ("w.uta", 7)  # the op line
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("    states: q0 q1;\n", "", "op f: no states"),
+        ("    start: q0;\n", "", "op f: no start state"),
+        ("start: q0;", "start: q9;", "op f: start state 'q9' not a state"),
+        ("out: q0 -> 0, q1 -> 1;", "out: q0 -> 0;", "op f: no output for state q1"),
+        ("q1 1 -> q0;", ";", r"op f: incomplete machine, missing transition \(q1, 1\)"),
+        ("q1 1 -> q0;", "q1 1 -> q0, q2 1 -> q0;", r"op f: transition \(q2, 1\) uses an unknown"),
+        ("q1 1 -> q0;", "q1 1 -> zz;", "op f: transition into unknown state 'zz'"),
+    ],
+)
+def test_op_body_errors_point_at_the_op_line_of_the_fixture(old, new, message):
+    text = (FIXTURES / "parity.uta").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    op_line = text.splitlines().index("  op f {") + 1
+    with pytest.raises(WorkspaceError, match=message) as exc:
+        load_workspace_text(text.replace(old, new), "parity.uta")
+    assert (exc.value.path, exc.value.line) == ("parity.uta", op_line)
+
+
+GMORPHISM_TEXT = PARITY_TEXT + """symbols hsym { operators: h; leaves: y; }
+gmorphism hm {
+  from: hsym;
+  to: sym;
+  iota: h -> f;
+  alpha: y -> x;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("from: hsym;", "from: hsym junk;", "gmorphism hm: 2 names in 'from' field"),
+        ("to: sym;", "to: sym, sym;", "gmorphism hm: 2 names in 'to' field"),
+        ("symbols: sym;", "symbols: sym hsym;", "algebra parity: 2 names in 'symbols' field"),
+        ("algebra: parity;", "algebra: parity x;", "recognizer odd: 2 names in 'algebra' field"),
+        ("iota: h -> f;", "iota: h -> f, h -> g;", "duplicate iota for h"),
+        ("alpha: y -> x;", "alpha: y -> x, y -> f(x);", "duplicate alpha for y"),
+    ],
+)
+def test_loader_rejects_what_it_used_to_drop(old, new, message):
+    assert load_workspace_text(GMORPHISM_TEXT).gmorphisms["hm"].iota == {"h": "f"}
+    line = next(i for i, s in enumerate(GMORPHISM_TEXT.splitlines(), 1) if old in s)
+    with pytest.raises(WorkspaceError, match=message) as exc:
+        load_workspace_text(GMORPHISM_TEXT.replace(old, new), "w.uta")
+    assert (exc.value.path, exc.value.line) == ("w.uta", line)
 
 
 # ---------------------------------------------------------------------------
 # The line scanner against the character scanner it replaced
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _scan_reference(text, path):
