@@ -52,6 +52,7 @@ from .trees import (
     LocTestable,
     PwTestable,
     ReverseDefinite,
+    check_bounds,
     enumerate_contexts,
     enumerate_trees,
     parse_term,
@@ -541,6 +542,7 @@ def _cmd_decide(ws, args):
 
 def _cmd_enumerate(ws, args):
     table = _need(ws.symbols, "symbols", args.symbols)
+    check_bounds(args.max_size, args.max_arity)
     gen = enumerate_contexts if args.contexts else enumerate_trees
     for t in gen(table, args.max_size, args.max_arity):
         print(render(t))

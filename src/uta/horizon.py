@@ -64,6 +64,14 @@ def run_word(m: MooreMachine, word) -> object:
     return m.out[q]
 
 
+def state_records(m: MooreMachine) -> dict:
+    """Each state as a ``(row, output)`` pair, its row mapping a letter to the next pair."""
+    records = {q: ({}, m.out[q]) for q in m.states}
+    for (q, a), q2 in m.delta.items():
+        records[q][0][a] = records[q2]
+    return records
+
+
 def reachable_with_witnesses(m: MooreMachine, letters=None):
     """BFS over the given letters (default: all); returns (states, witness words)."""
     letters = tuple(m.alphabet if letters is None else letters)

@@ -26,6 +26,7 @@ from .horizon import (
     MooreMachine,
     _product_reach,
     reachable_with_witnesses,
+    state_records,
     tuple_product_machine,
 )
 from .syntactic import SyntacticResult, syntactic_algebra
@@ -130,10 +131,7 @@ def text_evaluator(rec: Recognizer):
     starts, atoms = {}, dict(rec.valuation)
     for f in rec.table.operators:
         m = rec.algebra.ops[f]
-        states = {q: ({}, m.out[q]) for q in m.states}
-        for (q, a), q2 in m.delta.items():
-            states[q][0][a] = states[q2]
-        starts[f] = states[m.start]
+        starts[f] = state_records(m)[m.start]
         atoms[f] = m.out[m.start]
 
     def evaluate(text: str) -> tuple:

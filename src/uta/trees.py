@@ -746,7 +746,8 @@ class TreeBank:
     A node is interned as ``(label, is_leaf, child ids)``; its label, leaf
     flag, child ids, height and canonical rendering are kept in lists
     indexed by id, and ``index`` maps the triple back to the id.  Equal
-    trees therefore have equal ids.
+    trees therefore have equal ids, and ``prefix[i]`` is the id of i's label
+    over its children but the last (None for no children or no such id).
 
     ``trees`` and ``contexts`` enumerate lazily: the bucket of one size is
     built only once the bucket before it has been consumed, its renderings
@@ -756,11 +757,12 @@ class TreeBank:
     """
 
     def __init__(self, table: SymbolTable, max_arity=None):
-        self.table = table
+        self.leaves, self.operators = table.leaves, table.operators  # not the table, which keys a weak cache of banks
         self.max_arity = max_arity
         self.label: list = []
         self.is_leaf: list = []
         self.kids: list = []
+        self.prefix: list = []
         self.height: list = []
         self.text: list = []
         self.index: dict = {}
@@ -778,21 +780,27 @@ class TreeBank:
             yield from self._context_bucket(s)
 
     def tree(self, i: int, memo=None) -> Tree:
-        """The Tree of an id, rebuilt from its children's (shared via memo)."""
-        if memo is None:
-            memo = {}
-        t = memo.get(i)
-        if t is None:
-            kids = tuple(self.tree(c, memo) for c in self.kids[i])
-            t = memo[i] = Tree(self.label[i], kids, self.is_leaf[i])
-        return t
+        """The Tree of an id, rebuilt from its children's (shared via memo)
+        in one pass over the ids it needs in id order, children first."""
+        memo = {} if memo is None else memo
+        need, new = set(), {i} - memo.keys()
+        while new:
+            need |= new
+            new = {c for j in new for c in self.kids[j] if c not in memo} - need
+        for j in sorted(need):
+            memo[j] = Tree(self.label[j], tuple([memo[c] for c in self.kids[j]]), self.is_leaf[j])
+        return memo[i]
 
-    def _tree_bucket(self, s: int) -> range:
+    def drop_last_texts(self) -> None:
+        """Forget the last tree bucket's renderings until ``_texts`` needs them."""
+        del self.text[len(self.label) - len(self._trees[-1]):]
+
+    def _tree_bucket(self, s: int) -> list:
         while len(self._trees) <= s:
             n = len(self._trees)
             if n == 1:
-                atoms = [(x, x, True, ()) for x in self.table.leaves]
-                atoms += [(f, f, False, ()) for f in self.table.operators]
+                atoms = [(x, x, True, ()) for x in self.leaves]
+                atoms += [(f, f, False, ()) for f in self.operators]
                 self._trees.append(self._intern(atoms))
                 continue
 
@@ -802,7 +810,7 @@ class TreeBank:
             self._trees.append(self._intern(self._nodes(n, pools)))
         return self._trees[s]
 
-    def _context_bucket(self, s: int) -> range:
+    def _context_bucket(self, s: int) -> list:
         while len(self._contexts) <= s:
             n = len(self._contexts)
             if n == 1:
@@ -824,31 +832,46 @@ class TreeBank:
         size s whose children, sized by a composition of s-1, come from the
         id pools that ``pools(composition)`` yields."""
         cap = s - 1 if self.max_arity is None else min(self.max_arity, s - 1)
-        text = self.text
+        text = self._texts()
         out = []
-        for f in self.table.operators:
+        for f in self.operators:
             for comp in _compositions(s - 1, cap):
                 for pool in pools(comp):
                     for kids in _cartesian(*pool):
                         out.append((f + "(" + ",".join([text[c] for c in kids]) + ")", f, False, kids))
         return out
 
-    def _intern(self, bucket: list) -> range:
+    def _intern(self, bucket: list) -> list:
         """Give each node of a bucket the next id, in rendering order."""
         bucket.sort()
+        text = self._texts()
         start = len(self.label)
-        ids = range(start, start + len(bucket))
+        ids = list(range(start, start + len(bucket)))  # one int per id, shared by index, kids and callers
         if not bucket:
             return ids
         texts, labels, leafs, kids = zip(*bucket)
-        height = self.height
+        height, index = self.height, self.index
         height.extend([1 + max([height[c] for c in ks]) if ks else 0 for ks in kids])
-        self.index.update(zip(zip(labels, leafs, kids), ids))
+        self.prefix.extend([index.get((f, False, ks[:-1])) if ks else None for f, ks in zip(labels, kids)])
+        index.update(zip(zip(labels, leafs, kids), ids))
         self.label.extend(labels)
         self.is_leaf.extend(leafs)
         self.kids.extend(kids)
-        self.text.extend(texts)
+        text.extend(texts)
         return ids
+
+    def _texts(self) -> list:
+        """The renderings, those ``drop_last_texts`` dropped made again."""
+        text, label, kids = self.text, self.label, self.kids
+        for i in range(len(text), len(label)):
+            text.append(label[i] + "(" + ",".join([text[c] for c in kids[i]]) + ")" if kids[i] else label[i])
+        return text
+
+
+def check_bounds(max_size: int, max_arity=None) -> None:
+    """Reject enumeration bounds that hold no tree."""
+    if max_size < 1 or (max_arity or 0) < 0:
+        raise ValueError(f"bounds need max_size >= 1 and max_arity >= 0, not ({max_size}, {max_arity})")
 
 
 def enumerate_trees(table: SymbolTable, max_size: int, max_arity=None):

@@ -17,7 +17,7 @@ first map with a proper cycle.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,7 +27,7 @@ from .algebra import (
     elementary_translations,
     translation_walk,
 )
-from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, run_word
+from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, state_records
 from .partition import element_label
 from .recognizer import (
     Finite,
@@ -49,6 +49,7 @@ from .trees import (
     SymbolTable,
     Tree,
     TreeBank,
+    check_bounds,
     compose,
     op,
     plug,
@@ -290,6 +291,8 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
     membership (for the unparameterized query, at the depth where the
     chain stabilized; no greater depth can help from there on).
     """
+    if k is not None and k < 0:
+        raise ValueError("Definite needs k >= 0")
     _res, srec = syntactic_of(rec)
     V = srec.algebra.elements
     value_trees = minimal_value_trees(srec)
@@ -466,16 +469,21 @@ def nilpotent_recognizer_for_finite(member_trees, table: SymbolTable) -> Recogni
 
 
 DEFAULT_PROBE_BOUNDS = (7, 3)
+_PROBE_BANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@functools.lru_cache(maxsize=2)
 def _probe_bank(table: SymbolTable, max_arity) -> tuple[TreeBank, dict]:
     """The probes' shared trees over one table and arity bound: one
     ``TreeBank`` and, per kind, ``firsts`` with ``firsts[i]`` the id of the
     first tree in tree i's key group.  Both depend on the alphabet only, so
     every recognizer over the table reads them; each probe extends
-    ``firsts`` past what earlier probes reached."""
-    return TreeBank(table, max_arity), {}
+    ``firsts`` past what earlier probes reached.  ``_PROBE_BANKS`` holds
+    them per arity bound, keyed weakly by the first table object seen: they
+    live as long as that table, and are released with it."""
+    banks = _PROBE_BANKS.setdefault(table, {})
+    if max_arity not in banks:
+        banks[max_arity] = TreeBank(table, max_arity), {}
+    return banks[max_arity]
 
 
 def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> VarietyVerdict:
@@ -485,30 +493,37 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
     Two key-equal trees with different syntactic values witness that the
     kind's relation does not refine the language's distinguishability
     relation: an unconditional no.  A clean sweep is only evidence up to
-    the bounds and is reported as such.
+    the bounds and is reported as such.  Bounds holding no tree raise
+    ``ValueError``.
 
     Trees are enumerated lazily in (size, rendering) order and worked on
-    bottom-up by id: a tree's value is one machine run over its children's
-    values.  The sweep stops at the first conflict, so a refutation costs
-    only the trees up to that one; a yes enumerates the whole bound.  The
-    counterexample pairs the first tree of the key group with the tree
-    that broke it.
+    bottom-up by id: a tree's machine state is one transition from its
+    prefix's (``TreeBank.prefix``) on its last child's value, and its value
+    is that state's output.  The sweep stops at the first conflict, so a
+    refutation costs only the trees up to that one; a yes enumerates the
+    whole bound.  The counterexample pairs the first tree of the key group
+    with the tree that broke it.
 
     The key groups depend on the table, not the language, so the bank and
-    each kind's first-of-group ids are shared across calls, keyed by
-    (table, arity bound); the two most recently used are kept.  Over trees
-    an earlier call reached, a probe costs one machine run per tree.  Past
-    them its key parts are unions and lookups over the children's parts,
-    built for this call only.
+    each kind's first-of-group ids are shared across calls for as long as
+    the table lives (``_probe_bank``).  Over trees an earlier call reached,
+    a probe costs one transition per tree.  Past them its key parts are
+    unions and lookups over the children's parts, built for this call
+    only.  A finished probe drops the bank's last-bucket renderings (about
+    three quarters of its trees); a larger bound makes them again.
     """
+    check_bounds(*bounds)
     name = kind_name(kind)
     _res, srec = syntactic_of(rec)
     bank, firsts_of = _probe_bank(rec.table, bounds[1])
     firsts = firsts_of.get(kind, [])
     keys = groups = None
-    ops, valuation = srec.algebra.ops, srec.valuation
-    labels, is_leaf, kids = bank.label, bank.is_leaf, bank.kids
-    values: list = []
+    # Outputs and leaf values lie in the carrier, which every machine reads
+    # whole (``RegularAlgebra`` and ``Recognizer`` check both): no row misses.
+    atoms = {f: state_records(m)[m.start] for f, m in srec.algebra.ops.items()}
+    atoms.update((x, (None, v)) for x, v in srec.valuation.items())
+    labels, kids, prefix = bank.label, bank.kids, bank.prefix
+    states, counterexample = [], None
     for i in bank.trees(bounds[0]):
         if i < len(firsts):
             first = firsts[i]
@@ -520,26 +535,19 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
                 firsts = firsts_of.setdefault(kind, firsts)
             first = groups.setdefault(keys.add(i), i)
             firsts.append(first)
-        if is_leaf[i]:
-            v = valuation[labels[i]]
-        else:
-            v = run_word(ops[labels[i]], [values[c] for c in kids[i]])
-        values.append(v)
-        if values[first] != v:
-            return VarietyVerdict(
-                name,
-                False,
-                "refutation",
-                bounds=tuple(bounds),
-                counterexample=(bank.tree(first), bank.tree(i)),
-                parameter=getattr(kind, "k", None),
-                low_parameter=getattr(kind, "h", None),
-            )
+        ks = kids[i]
+        state = states[prefix[i]][0][states[ks[-1]][1]] if ks else atoms[labels[i]]
+        states.append(state)
+        if states[first][1] != state[1]:
+            counterexample = (bank.tree(first), bank.tree(i))
+            break
+    bank.drop_last_texts()
     return VarietyVerdict(
         name,
-        True,
-        "bounded",
+        counterexample is None,
+        "bounded" if counterexample is None else "refutation",
         bounds=tuple(bounds),
+        counterexample=counterexample,
         parameter=getattr(kind, "k", None),
         low_parameter=getattr(kind, "h", None),
     )

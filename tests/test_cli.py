@@ -85,6 +85,28 @@ def test_decide_def_json(capsys):
     }
 
 
+@pytest.mark.parametrize("bounds", [("--max-size", "0"), ("--max-size", "-3"), ("--max-arity", "-1")])
+def test_decide_probe_without_trees_exits_2(capsys, bounds):
+    code, out, err = run(
+        capsys, "-w", str(FIXTURES / "root.uta"), "decide", "--rec", "rootf", "--kind", "loc", "--k", "2", *bounds
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: bounds need max_size >= 1 and max_arity >= 0")
+
+
+def test_enumerate_without_trees_exits_2(capsys):
+    code, out, err = run(capsys, "-w", str(FIXTURES / "root.uta"), "enumerate", "--symbols", "sym2", "--max-size", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: bounds need max_size >= 1 and max_arity >= 0, not (-1, None)\n"
+
+
+def test_decide_negative_definite_parameter_exits_2(capsys):
+    code, out, err = run(
+        capsys, "-w", str(FIXTURES / "root.uta"), "decide", "--rec", "rootf", "--kind", "def", "--k", "-2"
+    )
+    assert (code, out, err) == (2, "", "error: Definite needs k >= 0\n")
+
+
 def test_decide_negative_exit(capsys):
     code, out, _ = run(
         capsys,

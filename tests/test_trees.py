@@ -276,6 +276,14 @@ def test_tree_bank_ids_follow_the_enumeration():
     assert all(_id_of(bank, t) == i for i, t in enumerate(trees))
 
 
+def test_tree_bank_rebuilds_trees_without_recursion():
+    bank = TreeBank(TAB, 3)
+    assert [bank.tree(i) for i in bank.trees(5)] == list(enumerate_trees(TAB, 5, 3))
+    chains = TreeBank(SymbolTable(("f",), ("x",)), 1)
+    *_, deepest = chains.trees(1500)
+    assert render(chains.tree(deepest)) == "f(" * 1499 + "x" + ")" * 1499
+
+
 def _id_of(bank, t):
     return bank.index[(t.label, t.is_leaf, tuple(_id_of(bank, c) for c in t.children))]
 

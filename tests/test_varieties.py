@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -40,15 +42,17 @@ from uta import (
     syntactic_of,
     SymbolTable,
 )
-from uta.trees import TermError, subtrees
+from uta.trees import TermError, TreeBank, subtrees
 from uta.oracle import brute_variety_check, make_universe
-from uta.varieties import VarietyVerdict, _probe_bank, kind_name
+from uta.horizon import run_word, state_records
+from uta.varieties import _PROBE_BANKS, VarietyVerdict, _probe_bank, kind_name
 from uta.workspace import load_workspace
 
 from helpers import (
     PARITY_TABLE,
     all_trees_rec,
     contains_x,
+    parity_algebra,
     parity_odd,
     random_recognizer,
     root_f,
@@ -546,10 +550,11 @@ def test_shared_probe_cold_and_warm():
     memo: dict = {}
     for rec in _probe_cases(5, 131):
         for kind in PROBE_KINDS:
-            _probe_bank.cache_clear()
+            _PROBE_BANKS.clear()
             cold = _agrees(rec, kind, (5, 3), memo)
+            bank = _probe_bank(rec.table, 3)[0]
             assert saturation_probe(rec, kind, (5, 3)) == cold
-            assert _probe_bank.cache_info().hits == 1
+            assert _probe_bank(rec.table, 3)[0] is bank and len(_PROBE_BANKS) == 1
 
 
 def test_shared_probe_extended_past_an_early_refutation():
@@ -569,7 +574,7 @@ def test_shared_probe_extended_past_an_early_refutation():
             yes = [rec for rec in same if large[id(rec)]]
             if not early or not late or not yes:
                 continue
-            _probe_bank.cache_clear()
+            _PROBE_BANKS.clear()
             assert not _agrees(early[0], kind, (3, 3), memo).holds
             bank, firsts_of = _probe_bank(table, 3)
             known = len(firsts_of[kind])
@@ -588,14 +593,14 @@ def test_shared_probe_warmed_by_another_kind():
     recs = _probe_cases(4, 139)
     for rec in recs:
         for warm, kind in zip(PROBE_KINDS, PROBE_KINDS[1:] + PROBE_KINDS[:1]):
-            _probe_bank.cache_clear()
+            _PROBE_BANKS.clear()
             _agrees(rec, warm, (5, 3), memo)
             _agrees(rec, kind, (4, 3), memo)
             _agrees(rec, kind, (5, 3), memo)
-            assert _probe_bank.cache_info().currsize == 1
+            assert len(_PROBE_BANKS) == 1 and list(_PROBE_BANKS[rec.table]) == [3]
 
 
-def test_shared_probe_after_eviction_by_three_tables():
+def test_shared_probe_keeps_every_table_it_interleaves():
     memo: dict = {}
     recs = _probe_cases(80, 149)
     by_table: dict = {}
@@ -603,12 +608,59 @@ def test_shared_probe_after_eviction_by_three_tables():
         by_table.setdefault(rec.table, []).append(rec)
     tables = sorted(by_table, key=lambda t: (len(t.operators), len(t.leaves)), reverse=True)[:3]
     assert len(tables) == 3
-    _probe_bank.cache_clear()
+    _PROBE_BANKS.clear()
+    banks: dict = {}
     for n in range(4):
         for kind in PROBE_KINDS[::2]:
             for table in (tables[0], tables[1], tables[0], tables[2]):
                 rec = by_table[table][n % len(by_table[table])]
                 _agrees(rec, kind, (5, 3) if n % 2 else (4, 3), memo)
-    info = _probe_bank.cache_info()
-    assert info.currsize == 2 and info.hits > 3 and info.misses > 3
+                bank = _probe_bank(rec.table, 3)[0]
+                assert banks.setdefault(table, bank) is bank
+    assert len(_PROBE_BANKS) == 3 and len(banks) == 3
+
+
+def test_probe_bank_is_released_with_its_table():
+    table = SymbolTable(("f",), ("lone",))
+    rec = Recognizer(parity_algebra(), table, {"lone": "1"}, frozenset({"1"}))
+    assert saturation_probe(rec, ReverseDefinite(1), (4, 3)).holds is False
+    bank = weakref.ref(_probe_bank(table, 3)[0])
+    assert table in _PROBE_BANKS and bank() is not None
+    del rec, table
+    gc.collect()
+    assert bank() is None and not any(t.leaves == ("lone",) for t in _PROBE_BANKS)
+
+
+def test_prefix_states_give_the_machine_runs():
+    """A tree's state, one transition from its prefix's, outputs what the
+    machine of its label gives over its children's values."""
+    rng = random.Random(151)
+    for rec in [random_recognizer(rng) for _ in range(12)]:
+        bank = TreeBank(rec.table, 3)
+        ops = rec.algebra.ops
+        states: list = []
+        for i in bank.trees(5):
+            label, kids = bank.label[i], bank.kids[i]
+            if bank.is_leaf[i]:
+                states.append((None, rec.valuation[label]))
+                continue
+            if kids:
+                assert bank.prefix[i] == bank.index[(label, False, kids[:-1])] < i
+                state = states[bank.prefix[i]][0][states[kids[-1]][1]]
+            else:
+                assert bank.prefix[i] is None
+                state = state_records(ops[label])[ops[label].start]
+            assert state[1] == run_word(ops[label], [states[c][1] for c in kids])
+            states.append(state)
+
+
+def test_dropped_renderings_are_made_again_for_a_larger_bound():
+    rec = all_trees_rec()
+    _PROBE_BANKS.clear()
+    bank = _probe_bank(rec.table, 3)[0]
+    for size in (4, 5, 6):
+        assert saturation_probe(rec, PwTestable(2), (size, 3)).holds
+        assert len(bank.text) == len(bank.label) - len(bank._tree_bucket(size))
+    list(bank.trees(7))
+    assert bank.text == [render(t) for t in enumerate_trees(rec.table, 7, 3)]
 
