@@ -271,25 +271,6 @@ def is_g_congruence(alg: RegularAlgebra, gcong: GCongruence):
     return True, None
 
 
-def m_operator(alg: RegularAlgebra, theta: Partition) -> Partition:
-    """Greatest operator equivalence compatible with a given congruence.
-
-    Two operators are merged iff feeding them componentwise related words
-    always yields related values; pairwise compatibility is transitive
-    here because theta is a congruence, so the result is an equivalence.
-    """
-    ok, witness = is_congruence(alg, theta)
-    if not ok:
-        raise NotACongruenceError("theta is not a congruence", witness)
-    pairs = _related_pairs(alg.elements, theta)
-    merged = []
-    for i, f in enumerate(alg.sigma):
-        for g in alg.sigma[i + 1 :]:
-            if _pair_violation(alg.ops[f], alg.ops[g], pairs, theta) is None:
-                merged.append((f, g))
-    return Partition.from_pairs(alg.sigma, merged)
-
-
 def _refine(alg: RegularAlgebra, key):
     """The coarsest congruence inside the partition of the carrier by
     ``key``, with the final classes of the machines' reachable states.
@@ -401,16 +382,46 @@ def quotient_algebra(alg: RegularAlgebra, theta: Partition) -> RegularAlgebra:
     return _quotient(alg, theta, state_classes)
 
 
+def _operator_classes(quot: RegularAlgebra) -> Partition:
+    """Operators of a quotient algebra grouped by equal machines.
+
+    Each machine of ``_quotient`` is minimal over the class letters and
+    names its states in breadth-first order, so two operators compute the
+    same word function on classes exactly when their machines are equal
+    as data.  Modulo a congruence theta, that is when related words always
+    give related values under both operators.
+    """
+    def key(f):
+        m = quot.ops[f]
+        return (m.states, m.start, tuple(m.delta.items()), tuple(m.out.items()))
+
+    return Partition.from_key(quot.sigma, key)
+
+
+def _merge_operators(quot: RegularAlgebra, sigma_part: Partition) -> RegularAlgebra:
+    """One operator per block, named by its class, acting as the block's
+    first operator does."""
+    ops = {sigma_part.class_name(b[0]): quot.ops[b[0]] for b in sigma_part.blocks}
+    return RegularAlgebra(quot.elements, tuple(ops), ops)
+
+
+def m_operator(alg: RegularAlgebra, theta: Partition) -> Partition:
+    """Greatest operator equivalence compatible with a congruence: the
+    operators whose machines in ``quotient_algebra(alg, theta)`` are equal
+    (see ``_operator_classes``).  A theta that is not a congruence is
+    refused as ``quotient_algebra`` refuses it, with the same witness."""
+    return _operator_classes(quotient_algebra(alg, theta))
+
+
 def g_quotient(alg: RegularAlgebra, gcong: GCongruence) -> RegularAlgebra:
     """Quotient by a compatible pair: merge carrier classes and operators.
 
-    All machines inside one operator block must agree as word functions on
-    classes; this is verified and is exactly well-definedness.
+    The operators of one block must have equal quotient machines; the
+    first disagreement found is the refusal's witness.  Each block then
+    keeps its first operator's machine under the block's class name.
     """
     sigma_part, theta = gcong.sigma_part, gcong.theta_part
     base = quotient_algebra(alg, theta)
-    sigma = tuple(sigma_part.class_name(b[0]) for b in sigma_part.blocks)
-    ops = {}
     for block in sigma_part.blocks:
         first = base.ops[block[0]]
         for g in block[1:]:
@@ -419,8 +430,7 @@ def g_quotient(alg: RegularAlgebra, gcong: GCongruence) -> RegularAlgebra:
                 raise NotACongruenceError(
                     f"operators {block[0]} and {g} disagree on class word", (block[0], g, w)
                 )
-        ops[sigma_part.class_name(block[0])] = first
-    return RegularAlgebra(base.elements, sigma, ops)
+    return _merge_operators(base, sigma_part)
 
 
 def verify_algebra_gmorphism(

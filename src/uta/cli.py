@@ -19,6 +19,7 @@ from .algebra import (
     derived_algebra,
     describe_translation,
     g_product,
+    g_quotient,
     is_congruence,
     is_g_congruence,
     kernel,
@@ -437,8 +438,6 @@ def _cmd_quotient(ws, args):
     alg = _need(ws.algebras, "algebra", args.alg)
     theta = _parse_partition(args.classes, alg.elements, "--classes")
     if args.sigma:
-        from .algebra import g_quotient
-
         sigma = _parse_partition(args.sigma, alg.sigma, "--sigma")
         out = g_quotient(alg, GCongruence(sigma, theta))
     else:

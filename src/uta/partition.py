@@ -65,27 +65,6 @@ class Partition:
         return Partition.from_blocks(universe, groups.values())
 
     @staticmethod
-    def from_pairs(universe, pairs) -> "Partition":
-        """Finest partition relating every given pair (union-find closure)."""
-        universe = tuple(universe)
-        parent = {x: x for x in universe}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict = {}
-        for x in universe:
-            groups.setdefault(find(x), []).append(x)
-        return Partition.from_blocks(universe, groups.values())
-
-    @staticmethod
     def discrete(universe) -> "Partition":
         return Partition.from_blocks(universe, [[x] for x in universe])
 

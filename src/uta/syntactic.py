@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    GCongruence,
     Partition,
     RegularAlgebra,
+    _merge_operators,
+    _operator_classes,
     _quotient,
     _refine,
-    g_quotient,
-    m_operator,
 )
 
 
@@ -58,11 +57,12 @@ def syntactic_algebra(alg: RegularAlgebra, subset) -> SyntacticResult:
 
 
 def reduced_syntactic(alg: RegularAlgebra, subset) -> SyntacticResult:
-    """Syntactic algebra plus the operator-merged (reduced) quotient."""
-    H = frozenset(subset)
-    res = syntactic_algebra(alg, H)
-    sigma = m_operator(alg, res.theta)
-    res.sigma = sigma
-    res.reduced = g_quotient(alg, GCongruence(sigma, res.theta))
-    res.iota = {f: sigma.class_name(f) for f in alg.sigma}
+    """Syntactic algebra plus the reduced one: operators whose quotient
+    machines are equal act alike modulo theta, so they are grouped into
+    ``sigma`` and merged into ``reduced``, with ``iota`` naming each
+    operator's class (see ``algebra._operator_classes``)."""
+    res = syntactic_algebra(alg, subset)
+    res.sigma = _operator_classes(res.algebra)
+    res.reduced = _merge_operators(res.algebra, res.sigma)
+    res.iota = {f: res.sigma.class_name(f) for f in alg.sigma}
     return res

@@ -196,8 +196,9 @@ def test_m_operator():
     bad = Partition.from_blocks(("0", "1", "2"), [["0", "1"], ["2"]])
     ok_bad, witness = is_congruence(succ, bad)
     assert not ok_bad and witness is not None
-    with pytest.raises(NotACongruenceError):
+    with pytest.raises(NotACongruenceError, match="^theta is not a congruence for f$") as err:
         m_operator(succ, bad)
+    assert err.value.witness == witness
 
 
 def test_quotient_refusal_carries_the_congruence_witness():

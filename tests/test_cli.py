@@ -301,6 +301,86 @@ def test_quotient_refuses_a_non_congruence(capsys):
     assert (code, out, err) == (2, "", "error: theta is not a congruence for invoices\n")
 
 
+RA_OUTPUTS = {
+    ("parity.uta", "parity-odd"): "element classes: 2\noperator classes: 1\n  [f] = {f}\n",
+    ("root.uta", "rootf"): "element classes: 2\noperator classes: 2\n  [f] = {f}\n  [g] = {g}\n",
+    ("bool.uta", "booltrue"): (
+        "element classes: 2\noperator classes: 2\n  [or] = {or}\n  [and] = {and}\n"
+    ),
+    ("xml.uta", "xmldoc"): (
+        "element classes: 5\noperator classes: 3\n"
+        "  [invoices] = {invoices}\n  [invoice] = {invoice}\n  [line] = {line}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("workspace, rec", sorted(RA_OUTPUTS))
+def test_ra_output_on_the_fixtures(capsys, workspace, rec):
+    got = run(capsys, "-w", str(FIXTURES / workspace), "ra", "--rec", rec)
+    assert got == (0, RA_OUTPUTS[(workspace, rec)], "")
+
+
+DUP_WORKSPACE = """symbols sym {
+  operators: f f2;
+  leaves: x;
+}
+
+algebra dup {
+  symbols: sym;
+  elements: 0 1;
+  op f {
+    states: q0 q1;
+    start: q0;
+    out: q0 -> 0, q1 -> 1;
+    delta: q0 0 -> q0, q0 1 -> q1, q1 0 -> q1, q1 1 -> q0;
+  }
+  op f2 {
+    states: p0 p1;
+    start: p0;
+    out: p0 -> 0, p1 -> 1;
+    delta: p0 0 -> p0, p0 1 -> p1, p1 0 -> p1, p1 1 -> p0;
+  }
+}
+
+recognizer dup-odd {
+  algebra: dup;
+  valuation: x -> 1;
+  finals: 1;
+}
+"""
+
+
+def test_ra_merges_operators_that_share_a_machine(capsys, tmp_path):
+    path = tmp_path / "dup.uta"
+    path.write_text(DUP_WORKSPACE)
+    got = run(capsys, "-w", str(path), "ra", "--rec", "dup-odd")
+    assert got == (0, "element classes: 2\noperator classes: 1\n  [f] = {f, f2}\n", "")
+
+
+ROOT_QUOTIENT = """algebra rootalg_quot {
+  symbols: sym;
+  elements: e0;
+  op [f] {
+    states: q0;
+    start: q0;
+    out: q0 -> e0;
+    delta: q0 e0 -> q0;
+  }
+}
+"""
+
+
+def test_quotient_and_congruence_check_with_operator_classes(capsys):
+    root = ("-w", str(FIXTURES / "root.uta"))
+    args = ("--alg", "rootalg", "--sigma", "f,g", "--classes")
+    got = run(capsys, *root, "quotient", *args, "0|1")
+    assert got == (2, "", "error: operators f and g disagree on class word\n")
+    got = run(capsys, *root, "quotient", *args, "0,1")
+    assert got == (0, ROOT_QUOTIENT, "")
+    got = run(capsys, *root, "congruence-check", *args, "0|1")
+    assert got == (1, "no\nwitness: f() vs g()\n", "")
+
+
 XMLDOC_SA = """classes: 5
   [0] = {0}
   [2] = {2}

@@ -148,14 +148,18 @@ def ref_is_g_congruence(alg, gcong):
 
 
 def ref_m_operator(alg, theta):
+    """Each operator joins the first operator it is compatible with;
+    compatibility is an equivalence once theta is a congruence."""
     pairs = related_pairs(alg.elements, theta)
-    merged = [
-        (f, g)
-        for i, f in enumerate(alg.sigma)
-        for g in alg.sigma[i + 1 :]
-        if ref_pair_violation(alg.ops[f], alg.ops[g], pairs, theta) is None
-    ]
-    return Partition.from_pairs(alg.sigma, merged)
+
+    def first_compatible(g):
+        return next(
+            f
+            for f in alg.sigma
+            if ref_pair_violation(alg.ops[f], alg.ops[g], pairs, theta) is None
+        )
+
+    return Partition.from_key(alg.sigma, first_compatible)
 
 
 def ref_definite_chain(srec, min_levels=0):
