@@ -37,14 +37,11 @@ from .trees import (
     TermGMorphism,
     Tree,
     _tokenize,
-    enumerate_trees,
     height,
     is_context,
     leaf,
     parse_term,
     render,
-    size,
-    sort_trees,
     subtrees,
     validate_tree,
 )
@@ -292,69 +289,64 @@ def is_empty(rec: Recognizer) -> bool:
 # Smallest members
 
 
-def minimal_value_trees(rec: Recognizer) -> dict:
-    """For every reachable element, a smallest tree evaluating to it.
+def _node(f: str, d: int, text: str, kids: tuple) -> tuple:
+    """(size, rendering, tree) of an f-node over a word (see ``_least_trees``)."""
+    return d + 1, f + "(" + text[:-1] + ")" if kids else f, Tree(f, kids)
 
-    Fixpoint of size relaxations: leaves seed the map, and each machine is
-    relaxed Bellman-Ford style over words of already-valued elements.  Ties
-    break toward the lexicographically smaller rendering, so the result is
-    deterministic.  Each candidate is rendered once and keeps its rendering.
+
+def _least_trees(rec: Recognizer) -> dict:
+    """Each reachable element's least tree in (size, rendering) order, as
+    ``element -> (size, rendering, tree)``.
+
+    Fixpoint of relaxations: leaves seed the map, and each machine is
+    relaxed Bellman-Ford style over words of already-valued elements.  A
+    word's text joins one piece ``r,`` per letter (r the letter's least
+    rendering); equal sizes tie-break by text, and ``f(`` + text without
+    its last comma + ``)`` is the element's rendering, so no tree is
+    rendered.  Names sort above ``(``, ``)`` and ``,``, so the pieces are
+    prefix-free: two texts of equal size first differ inside a piece, so a
+    least word extends least words and a least tree has least children.
     """
     alg = rec.algebra
-    best: dict = {}  # element -> (size, rendering, tree)
-
-    def offer(a, cand) -> bool:
-        incumbent = best.get(a)
-        if incumbent is None or cand[:2] < incumbent[:2]:
-            best[a] = cand
-            return True
-        return False
-
-    for x in sorted(rec.table.leaves):
-        offer(rec.valuation[x], (1, x, leaf(x)))
+    best = {rec.valuation[x]: (1, x, leaf(x)) for x in sorted(rec.table.leaves, reverse=True)}
     changed = True
     while changed:
         changed = False
         for f in alg.sigma:
             m = alg.ops[f]
-            # cheapest letter word into each state, over currently valued letters
-            dist: dict = {m.start: (0, ())}
+            letters = [(a, s, r + ",", t) for a, (s, r, t) in best.items()]
+            # least (size, text, children) word into each state
+            dist: dict = {m.start: (0, "", ())}
             improved = True
             while improved:
                 improved = False
-                for q in m.states:
-                    if q not in dist:
-                        continue
-                    dq, wq = dist[q]
-                    for a in alg.elements:
-                        if a not in best:
-                            continue
-                        cand = (dq + best[a][0], wq + (a,))
+                for q, (dq, tq, kq) in list(dist.items()):
+                    for a, s, piece, t in letters:
                         q2 = m.delta[(q, a)]
-                        if q2 not in dist or cand < dist[q2]:
-                            dist[q2] = cand
+                        old = dist.get(q2)
+                        d = dq + s
+                        if old is None or d < old[0] or (d == old[0] and tq + piece < old[1]):
+                            dist[q2] = (d, tq + piece, kq + (t,))
                             improved = True
-            for q, (d, w) in dist.items():
-                tree = Tree(f, tuple(best[a][2] for a in w))
-                if offer(m.out[q], (1 + d, render(tree), tree)):
+            for q, word in dist.items():
+                cand, old = _node(f, *word), best.get(m.out[q])
+                if old is None or cand[:2] < old[:2]:
+                    best[m.out[q]] = cand
                     changed = True
-    return {a: t for a, (_, _, t) in best.items()}
+    return best
+
+
+def minimal_value_trees(rec: Recognizer) -> dict:
+    """For every reachable element, its least tree in (size, rendering)
+    order, found by the value search of ``_least_trees`` at every size."""
+    return {a: t for a, (_, _, t) in _least_trees(rec).items()}
 
 
 def min_member(rec: Recognizer):
-    """A smallest accepted tree, or None; canonical (size, rendering) order
-    is guaranteed whenever the minimum size is small enough to enumerate."""
-    witnesses = minimal_value_trees(rec)
-    accepted = [witnesses[a] for a in rec.finals if a in witnesses]
-    if not accepted:
-        return None
-    best = min(accepted, key=lambda t: (size(t), render(t)))
-    s = size(best)
-    if s <= 7:
-        for t in enumerate_trees(rec.table, s):
-            if membership(rec, t):
-                return t
-    return best
+    """The least accepted tree in (size, rendering) order, or None."""
+    least = _least_trees(rec)
+    accepted = [least[a] for a in rec.finals if a in least]
+    return min(accepted, key=lambda e: e[:2])[2] if accepted else None
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +445,26 @@ class _PumpingGraph:
     def members(self, order) -> tuple:
         """Every accepted tree, built along an acyclic graph: the trees of
         each useful element and the child words of each useful state,
-        children before parents."""
+        children before parents, each with its size and text.  A tree has
+        one value and a word one state, so none is built twice."""
         alg, rec = self.alg, self.rec
-        built: dict = {}  # element node: its trees; state node: its child words
+        built: dict = {}  # element node: (size, rendering, tree)s; state node: (size, text, kids)s
         for node in order:
             f, x = node
             if f is None:
-                trees = [leaf(y) for y in sorted(rec.table.leaves) if rec.valuation[y] == x]
+                trees = [(1, y, leaf(y)) for y in rec.table.leaves if rec.valuation[y] == x]
                 for g, s in self.sources[node]:
-                    trees.extend(Tree(g, kids) for kids in built[(g, s)])
+                    trees.extend(_node(g, *word) for word in built[(g, s)])
                 built[node] = trees
             else:
-                words = [()] if x == alg.ops[f].start else []
+                words = [(0, "", ())] if x == alg.ops[f].start else []
                 for q, a in self.pred[f][x]:
-                    words.extend(w + (t,) for w in built[(f, q)] for t in built[(None, a)])
+                    words.extend((d + s, text + r + ",", kids + (t,))
+                                 for d, text, kids in built[(f, q)] for s, r, t in built[(None, a)])
                 built[node] = words
-        accepted = [t for b in alg.elements if b in rec.finals for t in built[(None, b)]]
-        return sort_trees(accepted)
+        accepted = [e for b in alg.elements if b in rec.finals for e in built[(None, b)]]
+        accepted.sort(key=lambda e: e[:2])
+        return tuple(t for _, _, t in accepted)
 
     def pump(self, cycle) -> Tree:
         """An accepted tree that pumps the cycle (its nodes, each built from

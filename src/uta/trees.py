@@ -257,11 +257,6 @@ def validate_tree(table: SymbolTable, t: Tree, allow_hole: bool = False) -> None
             stack.pop()
 
 
-def sort_trees(ts) -> tuple:
-    """Canonical order for tree collections: by size, then rendering."""
-    return tuple(sorted(set(ts), key=lambda t: (size(t), render(t))))
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -729,15 +724,22 @@ def apply_term_gmorphism(m: TermGMorphism, t: Tree) -> Tree:
 
 
 def _compositions(total: int, max_parts: int):
-    """Ordered tuples of positive ints summing to total, length <= max_parts."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts <= 0:
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first, max_parts - 1):
-            yield (first,) + rest
+    """Ordered tuples of positive ints summing to total, length <= max_parts,
+    in lexicographic order, made without recursion: each raises the second
+    to last part of the one before by one and spreads what its last part
+    leaves over ones and a final part, as the length bound allows."""
+    comp, rest = [], total
+    while True:
+        if rest:
+            k = min(max_parts - len(comp), rest)
+            if k <= 0:
+                return
+            comp += [1] * (k - 1) + [rest - k + 1]
+        yield tuple(comp)
+        if len(comp) < 2:
+            return
+        rest = comp.pop() - 1
+        comp[-1] += 1
 
 
 class TreeBank:

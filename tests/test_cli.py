@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from uta.cli import main
+from uta.recognizer import size_at_least_recognizer
+from uta.trees import SymbolTable
+from uta.workspace import dump_recognizer
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -470,6 +473,13 @@ def test_class_of_and_empty(capsys):
         capsys, "-w", str(FIXTURES / "parity.uta"), "empty", "--rec", "parity-odd"
     )
     assert code == 1 and out.startswith("nonempty")
+
+
+def test_empty_witness_past_seven_nodes_is_the_least_tree(capsys, tmp_path):
+    path = tmp_path / "big.uta"
+    path.write_text(dump_recognizer(size_at_least_recognizer(SymbolTable(("f",), ("x",)), 8), "big"))
+    got = run(capsys, "-w", str(path), "empty", "--rec", "big")
+    assert got == (1, "nonempty, witness f(f(f(f(f(f(f(f)))))))\n", "")
 
 
 def test_bool_binary(capsys):

@@ -1,9 +1,13 @@
 """Finiteness from the pumping graph and the reachable pair product,
 checked against the product towers they replaced, against plain
-enumeration, and against time budgets on the cases that were slow."""
+enumeration, and against time budgets on the cases that were slow; least
+trees from the value search, checked against the enumerating references
+they replaced."""
 
 import random
 import time
+from functools import lru_cache
+from graphlib import TopologicalSorter
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,8 +35,8 @@ from uta import (
     trim,
     union,
 )
-from uta.recognizer import minimal_value_trees, size_at_least_recognizer
-from uta.trees import Tree, leaf, subtrees
+from uta.recognizer import _PumpingGraph, minimal_value_trees, size_at_least_recognizer
+from uta.trees import _NAME_RE, Tree, TreeBank, leaf, subtrees
 
 from helpers import (
     BOOL_TABLE,
@@ -75,13 +79,14 @@ def full_union(rec1, rec2):
 
 
 def tower_equivalent(rec1, rec2):
-    """Equivalence through the symmetric difference of complements."""
+    """Equivalence through the symmetric difference of complements, with
+    the counterexample of the enumerating min_member."""
     diff = full_union(
         full_intersect(rec1, complement(rec2)), full_intersect(complement(rec1), rec2)
     )
     if is_empty(diff):
         return True, None
-    return False, min_member(diff)
+    return False, enumerating_min_member(diff)
 
 
 def bound_violation_recognizer(rec, h_bound, w_bounds):
@@ -183,6 +188,94 @@ def rerendering_minimal_value_trees(rec):
     return {a: t for a, (_, t) in best.items()}
 
 
+class SharedEnumeration:
+    """All trees of one table up to 7 nodes in (size, rendering) order,
+    enumerated once, lazily, and replayed to every reader."""
+
+    def __init__(self, table):
+        self.source, self.done = enumerate_trees(table, 7), []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self.done):
+                t = next(self.source, None)
+                if t is None:
+                    return
+                self.done.append(t)
+            yield self.done[i]
+            i += 1
+
+
+shared_enumeration = lru_cache(maxsize=None)(SharedEnumeration)
+
+
+def enumerating_min_member(rec):
+    """The min_member the value search replaced: the least final value tree
+    under the old tie-break, confirmed by enumeration up to 7 nodes."""
+    witnesses = rerendering_minimal_value_trees(rec)
+    accepted = [witnesses[a] for a in rec.finals if a in witnesses]
+    if not accepted:
+        return None
+    best = min(accepted, key=lambda t: (size(t), render(t)))
+    if size(best) <= 7:
+        return next(t for t in shared_enumeration(rec.table) if membership(rec, t))
+    return best
+
+
+def sorting_members(rec):
+    """The Finite member list the value search replaced: every member built
+    along the pumping graph, then deduplicated and sorted by (size,
+    rendering), each rendered again; None for an infinite language."""
+    trec = trim(rec)
+    graph = _PumpingGraph(trec)
+    try:
+        order = list(TopologicalSorter(graph.sources).static_order())
+    except ValueError:  # a cycle: infinite
+        return None
+    built = {}
+    for node in order:
+        f, x = node
+        if f is None:
+            trees = [leaf(y) for y in sorted(trec.table.leaves) if trec.valuation[y] == x]
+            for g, s in graph.sources[node]:
+                trees.extend(Tree(g, kids) for kids in built[(g, s)])
+            built[node] = trees
+        else:
+            words = [()] if x == trec.algebra.ops[f].start else []
+            for q, a in graph.pred[f][x]:
+                words.extend(w + (t,) for w in built[(f, q)] for t in built[(None, a)])
+            built[node] = words
+    accepted = [t for b in trec.algebra.elements if b in trec.finals for t in built[(None, b)]]
+    return tuple(sorted(set(accepted), key=lambda t: (size(t), render(t))))
+
+
+@lru_cache(maxsize=None)
+def bank_up_to_5(table):
+    """The ids of every tree of the table up to 5 nodes, in (size,
+    rendering) order, with the bank that holds their labels and children."""
+    bank = TreeBank(table)
+    return bank, list(bank.trees(5))
+
+
+def least_trees_up_to_5(rec):
+    """For each value of a tree up to 5 nodes, the rendering of the first
+    such tree in (size, rendering) order, evaluated bottom-up over ids."""
+    bank, ids = bank_up_to_5(rec.table)
+    ops, value, first = rec.algebra.ops, {}, {}
+    for i in ids:
+        if bank.is_leaf[i]:
+            value[i] = rec.valuation[bank.label[i]]
+        else:
+            m = ops[bank.label[i]]
+            q = m.start
+            for c in bank.kids[i]:
+                q = m.delta[(q, value[c])]
+            value[i] = m.out[q]
+        first.setdefault(value[i], bank.text[i])
+    return first
+
+
 # ---------------------------------------------------------------------------
 # Seeded draws
 
@@ -261,10 +354,70 @@ def test_equivalence_matches_the_complement_tower():
 
 
 def test_minimal_value_trees_match_the_rerendering_reference():
+    """The old search is the size referee: the same elements get a tree,
+    each of the same size (its ties broke by element names, not text)."""
     rng = random.Random(5004)
     for _ in range(200):
         rec = draw(rng, max_elements=5, max_states=4)
-        assert minimal_value_trees(rec) == rerendering_minimal_value_trees(rec)
+        got, want = minimal_value_trees(rec), rerendering_minimal_value_trees(rec)
+        assert {a: size(t) for a, t in got.items()} == {a: size(t) for a, t in want.items()}
+
+
+def test_minimal_value_trees_are_the_least_trees():
+    """Each element's tree is the first tree of its value in (size,
+    rendering) order among all trees up to 5 nodes (one bank per table)."""
+    rng = random.Random(5005)
+    changed = 0
+    for _ in range(500):
+        rec = draw(rng, max_elements=5, max_states=4)
+        got = {a: render(t) for a, t in minimal_value_trees(rec).items() if size(t) <= 5}
+        assert got == least_trees_up_to_5(rec)
+        changed += got != {
+            a: render(t) for a, t in rerendering_minimal_value_trees(rec).items() if size(t) <= 5
+        }
+    assert changed  # the old tie-break was not canonical
+
+
+def test_name_characters_sort_above_the_term_punctuation():
+    """The least-tree search reads (size, rendering) order off texts of
+    pieces ``r,``; they are prefix-free only if no name character sorts
+    below ``(``, ``)`` or ``,``."""
+    named = [c for c in map(chr, range(0x110000)) if _NAME_RE.match("a" + c)]
+    assert len(named) == 63 and min(named) > max("(),")
+
+
+def test_min_member_and_members_match_the_enumerating_references():
+    rng = random.Random(5006)
+    finite = 0
+    for _ in range(500):
+        rec = draw(rng, max_elements=4)
+        other = draw(rng, rec.table, max_elements=4)
+        for lang in (rec, intersect(rec, other), union(rec, other), below(rec, 4)):
+            assert min_member(lang) == enumerating_min_member(lang)
+            verdict, members = is_finite(lang), sorting_members(lang)
+            assert isinstance(verdict, Finite) == (members is not None)
+            if members is not None:
+                assert verdict.members == members
+                finite += 1
+    assert finite > 500
+    for table, largest in ((PARITY_TABLE, 7), (ROOT_TABLE, 6), (BOOL_TABLE, 6)):
+        for s in range(1, largest + 1):
+            counter = size_at_least_recognizer(table, s)
+            assert min_member(counter) == enumerating_min_member(counter)
+
+
+def test_least_members_past_seven_nodes_are_canonical():
+    """Past the old enumeration bound the witness is still the least tree:
+    the chain of s nodes ending in a bare f, not f over s-1 bare f's."""
+
+    def chain(s):
+        return "f(" * (s - 1) + "f" + ")" * (s - 1)
+
+    for s in range(8, 13):
+        assert render(min_member(size_at_least_recognizer(PARITY_TABLE, s))) == chain(s)
+    counters = [size_at_least_recognizer(PARITY_TABLE, s) for s in (9, 10)]
+    equal, witness = equivalent(*counters)
+    assert not equal and render(witness) == chain(9)
 
 
 def test_pair_products_match_the_full_product():

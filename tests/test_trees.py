@@ -35,7 +35,7 @@ from uta import (
     size,
     tree_measures,
 )
-from uta.trees import KeyParts, TermError, TreeBank, hole_count, is_context, sort_trees
+from uta.trees import KeyParts, TermError, TreeBank, _compositions, hole_count, is_context
 
 from helpers import random_gmorphism, random_tree
 
@@ -417,9 +417,25 @@ def test_root_segment_monotone(j, k, data):
         assert root_segment(root_segment(t, hi), lo) == root_segment(t, lo)
 
 
-def test_sort_trees_dedupes():
-    a = parse_term("f(x)", TAB)
-    assert sort_trees([a, a, leaf("x")]) == (leaf("x"), a)
+def _compositions_recursive(total, max_parts):
+    """The recursive composition generator that ``_compositions`` replaced."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts <= 0:
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions_recursive(total - first, max_parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_version():
+    for total in range(11):
+        for max_parts in range(-1, total + 2):
+            assert list(_compositions(total, max_parts)) == list(
+                _compositions_recursive(total, max_parts)
+            )
+    assert next(_compositions(5000, 5000)) == (1,) * 5000  # no RecursionError
 
 
 # ---------------------------------------------------------------------------
