@@ -318,7 +318,7 @@ def _cmd_recognize(ws, args):
     if args.file == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     evaluate = text_evaluator(rec)
     all_ok = True

@@ -11,6 +11,7 @@ decisions with concrete witnesses.
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
@@ -32,11 +33,11 @@ from .horizon import (
 from .syntactic import SyntacticResult, syntactic_algebra
 from .trees import (
     HOLE,
+    _NO_SPACE,
+    _TOKENS_RE,
     SymbolTable,
-    TermError,
     TermGMorphism,
     Tree,
-    _tokenize,
     height,
     is_context,
     leaf,
@@ -82,11 +83,24 @@ def membership(rec: Recognizer, t: Tree) -> bool:
     return eval_of(rec, t) in rec.finals
 
 
-def _token_value(tokens: list, starts: dict, atoms: dict):
+def _group_value(group: str, starts: dict, values: dict):
+    """Value of an innermost group ``f(a,b,...)`` read off its text, kept in
+    ``values`` under that text; KeyError on a head that is no operator (or a
+    token that is no group) or a child that is no name of the table."""
+    head, _, body = group.partition("(")
+    state = starts[head]
+    for child in body[:-1].split(","):
+        state = state[0][values[child]]
+    values[group] = state[1]
+    return state[1]
+
+
+def _token_value(tokens: list, starts: dict, values: dict):
     """Value of the term the tokens spell (end marker None); KeyError or
     IndexError on an unknown or misplaced token or a letter with no row.
     Each open node is a state of its machine; its parent reads a finished
-    child at once."""
+    child at once.  A name or an innermost group is one token, its value
+    read from ``values`` (names first, groups kept there once read)."""
     frames = []  # the states of the enclosing open nodes
     state = None  # the state of the innermost open node
     i = 0
@@ -98,7 +112,10 @@ def _token_value(tokens: list, starts: dict, atoms: dict):
             state = starts[tok]
             i += 1
             continue
-        value = atoms[tok]
+        try:
+            value = values[tok]
+        except KeyError:
+            value = _group_value(tok, starts, values)
         # a finished node: its parent reads it, closing every node it ends
         while state is not None:
             state = state[0][value]
@@ -117,30 +134,37 @@ def _token_value(tokens: list, starts: dict, atoms: dict):
     return value
 
 
+# an innermost group without spaces first, as one token; then those of ``_tokenize``
+_GROUPED_TOKENS_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)|" + _TOKENS_RE.pattern
+)
+
+
 def text_evaluator(rec: Recognizer):
     """A function from term text to ``(value, canonical text)``, equal to
     ``(eval_of(rec, t), render(t))`` for ``t = parse_term(text, rec.table)``
     but read in one pass over the tokens, with no tree built: each machine
     state is a (row, output) pair whose row maps a letter to the next state,
-    and the canonical text is the tokens joined.  Text that is no term over
-    the table goes through ``parse_term`` and ``eval_of``, so every error is
-    theirs."""
-    starts, atoms = {}, dict(rec.valuation)
+    and the canonical text is the tokens joined.  An innermost group
+    ``f(a,b,...)`` written without spaces is one token, and its value is kept
+    by its text for the life of the function, so a group seen before costs
+    one lookup.  Text that is no term over the table goes through
+    ``parse_term`` and ``eval_of``, so every error is theirs."""
+    starts, values = {}, dict(rec.valuation)
     for f in rec.table.operators:
         m = rec.algebra.ops[f]
         starts[f] = state_records(m)[m.start]
-        atoms[f] = m.out[m.start]
+        values[f] = m.out[m.start]
 
     def evaluate(text: str) -> tuple:
-        try:
-            tokens = _tokenize(text)
+        tokens = _GROUPED_TOKENS_RE.findall(text)
+        canonical = "".join(tokens)
+        if canonical == text.translate(_NO_SPACE):
             tokens.append(None)
-            value = _token_value(tokens, starts, atoms)
-        except (TermError, KeyError, IndexError):
-            pass  # no term: the reference path raises its own error
-        else:
-            tokens.pop()
-            return value, "".join(tokens)
+            try:
+                return _token_value(tokens, starts, values), canonical
+            except (KeyError, IndexError):
+                pass  # no term: the reference path raises its own error
         t = parse_term(text, rec.table)
         return eval_of(rec, t), render(t)
 

@@ -246,7 +246,7 @@ def load_workspace(paths) -> Workspace:
     """Load and cross-validate one or more workspace files."""
     ws = Workspace()
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
         _load_text(ws, text, str(path))
     return ws

@@ -228,6 +228,20 @@ def test_recognize_file(capsys, tmp_path):
     assert out.splitlines() == ["accept\tx", "reject\tf(x,x)"]
 
 
+def test_recognize_reads_a_term_file_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    terms = tmp_path / "terms.txt"
+    terms.write_text("\ufeffinvoices(invoice(line(text)))\nline(text)\n", encoding="utf-8")
+    argv = ["-w", str(FIXTURES / "xml.uta"), "recognize", "--rec", "xmldoc", str(terms)]
+    want = "accept\tinvoices(invoice(line(text)))\nreject\tline(text)\n"
+    assert run(capsys, *argv) == (1, want, "")
+    # a mark past the start of the file is an unexpected character, as before
+    terms.write_text("line(text)\n\ufeffline(text)\n", encoding="utf-8")
+    error = "error: unexpected character '\\ufeff' at position 0\n"
+    assert run(capsys, *argv) == (2, "reject\tline(text)\n", error)
+    terms.write_text("line(\ufefftext)\n", encoding="utf-8")
+    assert run(capsys, *argv) == (2, "", error.replace("0", "5"))
+
+
 def test_deterministic_output(capsys):
     args = (
         "-w",

@@ -10,6 +10,7 @@ from uta.workspace import (
     _Tokens,
     dump_algebra,
     dump_recognizer,
+    load_workspace,
     load_workspace_text,
 )
 
@@ -91,6 +92,19 @@ def test_error_carries_line():
     with pytest.raises(WorkspaceError) as exc:
         load_workspace_text(bad)
     assert exc.value.line == 2
+
+
+def test_a_byte_order_mark_may_start_a_workspace_file(tmp_path):
+    text = (FIXTURES / "xml.uta").read_text(encoding="utf-8")
+    path = tmp_path / "xml.uta"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_workspace([path]) == load_workspace([FIXTURES / "xml.uta"])
+    # anywhere else it is an unexpected character, as before
+    path.write_text(text + "\ufeff\n", encoding="utf-8")
+    line = text.count("\n") + 1
+    with pytest.raises(WorkspaceError) as exc:
+        load_workspace([path])
+    assert str(exc.value) == f"{path}:{line}: unexpected character '\\ufeff'"
 
 
 def test_gmorphism_section():
