@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .horizon import (
     MachineError,
@@ -123,11 +124,19 @@ def eval_term(alg: RegularAlgebra, valuation: dict, t: Tree) -> object:
 
 
 def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
-    """Least subset containing the seed and closed under the omega operations.
+    """Least omega-closed subset holding the seed, in carrier order (``_closure``)."""
+    return _closure(alg, omega, seed)[0]
 
-    Closure is computed by repeatedly collecting the outputs of all machine
-    states reachable over the current subset; note the empty word always
-    contributes each operator's constant.
+
+def _closure(alg: RegularAlgebra, omega, seed) -> tuple:
+    """The generated closure, with each omega machine's states reached over
+    it (start first, then in order of discovery).
+
+    Incremental: each start state gives its operator's constant (the empty
+    word), and each state found keeps how many elements it has read, so a
+    new element is read by the states already found and a new state reads
+    every element found so far.  Each (state, letter) step is taken once,
+    and no witness word is built.
     """
     omega = tuple(alg.sigma if omega is None else omega)
     if not omega:
@@ -135,23 +144,32 @@ def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
     for f in omega:
         if f not in alg.ops:
             raise AlgebraError(f"unknown operator {f!r}")
-    current = set(seed)
+    found = set(seed)
     carrier = set(alg.elements)
-    for a in current:
+    for a in found:
         if a not in carrier:
             raise AlgebraError(f"seed element {element_label(a)} outside carrier")
-    changed = True
-    while changed:
-        changed = False
-        letters = [a for a in alg.elements if a in current]
-        for f in omega:
-            states, _ = reachable_with_witnesses(alg.ops[f], letters)
-            for q in states:
-                b = alg.ops[f].out[q]
-                if b not in current:
-                    current.add(b)
-                    changed = True
-    return tuple(a for a in alg.elements if a in current)
+    machines = [alg.ops[f] for f in omega]
+    found.update(m.out[m.start] for m in machines)
+    letters = [a for a in alg.elements if a in found]
+    reached = [{m.start: 0} for m in machines]  # state -> letters read
+    grown = True
+    while grown:
+        grown = False
+        for m, done in zip(machines, reached):
+            delta, out = m.delta, m.out
+            for q in list(done):
+                n = len(letters)
+                for a in letters[done[q]:n]:
+                    q2 = delta[q, a]
+                    if q2 not in done:
+                        done[q2] = 0
+                        grown = True
+                        if out[q2] not in found:
+                            found.add(out[q2])
+                            letters.append(out[q2])
+                done[q] = n
+    return tuple(a for a in alg.elements if a in found), list(map(list, reached))
 
 
 def subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
@@ -271,9 +289,10 @@ def is_g_congruence(alg: RegularAlgebra, gcong: GCongruence):
     return True, None
 
 
-def _refine(alg: RegularAlgebra, key):
-    """The coarsest congruence inside the partition of the carrier by
-    ``key``, with the final classes of the machines' reachable states.
+def _refine(alg: RegularAlgebra, key, seed):
+    """The coarsest congruence inside the partition by ``key`` of the
+    elements the seed generates, with the final classes of the states the
+    machines reach over them.
 
     Two elements are congruent iff no translation separates them relative
     to the starting partition.  A translation is a chain of wrappings
@@ -285,81 +304,74 @@ def _refine(alg: RegularAlgebra, key):
     iff their outputs are congruent and every letter leads them to
     equivalent states.  Moore-style rounds refine elements and states
     together from the key's classes and one block per machine until
-    nothing splits: each round costs carrier size times reachable states,
-    and there are at most as many rounds as elements and states.
+    nothing splits: each round costs elements times reached states, and
+    there are at most as many rounds as elements and states.
 
-    States count as reachable over every carrier letter, so the result is
-    right for untrimmed algebras too.  The state classes are keyed by
-    (index of the operator in ``sigma``, state).
+    Elements and states are those one ``_closure`` of the seed reaches (all
+    of them from the whole carrier).  States are numbered once, each with a
+    row of successor numbers, one column per element; rounds work on int
+    lists.  Returns theta and ``(columns, state classes, rows, outputs,
+    starts)`` for ``_quotient``.
     """
-    elements = alg.elements
-    machines = []
-    for f in alg.sigma:
-        m = alg.ops[f]
-        states, _ = reachable_with_witnesses(m)
-        machines.append((m, states))
-    elem = {a: key(a) for a in elements}
-    state = {(i, q): i for i, (_m, states) in enumerate(machines) for q in states}
-    count = len(set(elem.values())) + len(machines)
+    elements, reached = _closure(alg, alg.sigma, seed)
+    col = {a: j for j, a in enumerate(elements)}
+    state, rows, outs, starts = [], [], [], []
+    for i, (f, states) in enumerate(zip(alg.sigma, reached)):
+        m, num = alg.ops[f], {q: k for k, q in enumerate(states, len(rows))}
+        starts.append(len(rows))
+        state += [i] * len(states)
+        rows += [[num[m.delta[q, a]] for a in elements] for q in states]
+        outs += [col[m.out[q]] for q in states]
+    # the classes of a row's (a column's) states in one call: one int if 1 long
+    row_classes = [itemgetter(*row) for row in rows]
+    column_classes = [itemgetter(*column) for column in zip(*rows)]
+    elem = [key(a) for a in elements]
+    count = len(set(elem)) + len(reached)
     while True:
         ids: dict = {}
-        new_state = {
-            (i, q): ids.setdefault(
-                (
-                    state[(i, q)],
-                    elem[m.out[q]],
-                    tuple(state[(i, m.delta[(q, c)])] for c in elements),
-                ),
-                len(ids),
-            )
-            for i, (m, states) in enumerate(machines)
-            for q in states
-        }
-        new_elem = {
-            a: ids.setdefault(
-                (
-                    elem[a],
-                    tuple(
-                        state[(i, m.delta[(q, a)])]
-                        for i, (m, states) in enumerate(machines)
-                        for q in states
-                    ),
-                ),
-                len(ids),
-            )
-            for a in elements
-        }
+        new_state = [
+            ids.setdefault((c, elem[o], classes(state)), len(ids))
+            for c, o, classes in zip(state, outs, row_classes)
+        ]
+        new_elem = [
+            ids.setdefault((c, classes(state)), len(ids))
+            for c, classes in zip(elem, column_classes)
+        ]
         if len(ids) == count:
-            return Partition.from_key(elements, elem.__getitem__), state
+            theta = Partition.from_key(elements, dict(zip(elements, elem)).__getitem__)
+            return theta, (col, state, rows, outs, starts)
         elem, state, count = new_elem, new_state, len(ids)
 
 
-def _quotient(alg: RegularAlgebra, theta: Partition, state_classes) -> RegularAlgebra:
-    """The quotient by a congruence, read off the state classes ``_refine``
-    returned with it.
+def _quotient(alg: RegularAlgebra, theta: Partition, table) -> RegularAlgebra:
+    """The quotient by a congruence, read off the rows and state classes
+    ``_refine`` returned with it.
 
     At the fixpoint the state classes are the Moore equivalence of each
     machine with outputs mapped to carrier classes, so each class is one
     state of the minimal machine over class letters.  A class letter is
-    read through the first element of its block, and states are named
-    q0, q1, ... in the breadth-first order that first meets each class.
+    read through the column of the first element of its block, each class
+    is named once, and states are named q0, q1, ... in the breadth-first
+    order (over class rows) that first meets each class.
     """
-    firsts = tuple(b[0] for b in theta.blocks)
-    name = {a: theta.class_name(a) for a in firsts}
-    letters = tuple(name.values())
+    col, state, rows, outs, starts = table
+    firsts = [col[b[0]] for b in theta.blocks]
+    letters = tuple(theta.class_name(b[0]) for b in theta.blocks)
+    block = [theta.class_index(a) for a in col]
     ops = {}
-    for i, f in enumerate(alg.sigma):
-        m = alg.ops[f]
-        reps: dict = {}
-        for q in reachable_with_witnesses(m, firsts)[0]:
-            reps.setdefault(state_classes[(i, q)], q)
-        qname = {c: f"q{n}" for n, c in enumerate(reps)}
+    for f, start in zip(alg.sigma, starts):
+        order, qname = [start], {state[start]: "q0"}
+        for s in order:  # grows as classes are met
+            for j in firsts:
+                if state[rows[s][j]] not in qname:
+                    qname[state[rows[s][j]]] = f"q{len(qname)}"
+                    order.append(rows[s][j])
         delta = {
-            (qname[c], name[a]): qname[state_classes[(i, m.delta[(q, a)])]]
-            for c, q in reps.items()
-            for a in firsts
+            (qname[state[s]], a): qname[state[rows[s][j]]]
+            for s in order
+            for a, j in zip(letters, firsts)
         }
-        out = {qname[c]: theta.class_name(m.out[q]) for c, q in reps.items()}
+        out = {qname[state[s]]: letters[block[outs[s]]] for s in order}
         ops[f] = MooreMachine(tuple(qname.values()), letters, "q0", delta, out)
     return RegularAlgebra(letters, alg.sigma, ops)
 
@@ -373,13 +385,13 @@ def quotient_algebra(alg: RegularAlgebra, theta: Partition) -> RegularAlgebra:
     """
     if set(theta.universe) != set(alg.elements):
         raise AlgebraError("partition universe is not the carrier")
-    refined, state_classes = _refine(alg, theta.class_index)
+    refined, table = _refine(alg, theta.class_index, alg.elements)
     if refined.block_count != theta.block_count:
         witness = is_congruence(alg, theta)[1]
         raise NotACongruenceError(
             f"theta is not a congruence for {witness[0]}", witness
         )
-    return _quotient(alg, theta, state_classes)
+    return _quotient(alg, theta, table)
 
 
 def _operator_classes(quot: RegularAlgebra) -> Partition:

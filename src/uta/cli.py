@@ -316,7 +316,7 @@ def _cmd_eval(ws, args):
 def _cmd_recognize(ws, args):
     rec = _get_rec(ws, args)
     if args.file == "-":
-        lines = sys.stdin.read().splitlines()
+        lines = sys.stdin.buffer.read().decode("utf-8-sig").splitlines()
     else:
         with open(args.file, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()

@@ -57,12 +57,12 @@ class Partition:
 
     @staticmethod
     def from_key(universe, key) -> "Partition":
-        """Group the universe by an arbitrary key function."""
+        """Group the universe by a key function (in universe order: canonical)."""
         universe = tuple(universe)
         groups: dict = {}
         for x in universe:
             groups.setdefault(key(x), []).append(x)
-        return Partition.from_blocks(universe, groups.values())
+        return Partition(universe, tuple(map(tuple, groups.values())))
 
     @staticmethod
     def discrete(universe) -> "Partition":

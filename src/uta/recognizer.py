@@ -30,7 +30,7 @@ from .horizon import (
     state_records,
     tuple_product_machine,
 )
-from .syntactic import SyntacticResult, syntactic_algebra
+from .syntactic import SyntacticResult, _syntactic
 from .trees import (
     HOLE,
     _NO_SPACE,
@@ -184,8 +184,9 @@ def reachable_carrier(rec: Recognizer) -> tuple:
 
 
 def trim(rec: Recognizer) -> Recognizer:
-    """Restrict the algebra to the reachable carrier; the language is kept,
-    and every remaining element is the value of some tree."""
+    """Restrict the algebra to the reachable carrier through ``subalgebra``;
+    the language is kept, and every remaining element is the value of some
+    tree.  (``syntactic_of`` builds no trimmed algebra.)"""
     reach = reachable_carrier(rec)
     if tuple(reach) == rec.algebra.elements:
         return rec
@@ -284,15 +285,15 @@ def inverse_gmorphism_image(rec: Recognizer, m: TermGMorphism) -> Recognizer:
 
 
 def syntactic_of(rec: Recognizer) -> tuple[SyntacticResult, Recognizer]:
-    """The minimal recognizer: trim, then divide out everything no context
-    observes.  The returned recognizer accepts the same language and its
-    accepting set is disjunctive in the quotient."""
-    t = trim(rec)
-    res = syntactic_algebra(t.algebra, t.finals)
+    """The minimal recognizer: the values of trees modulo what no context
+    observes, from one closure of the valuation and one refinement on the
+    original machines (``syntactic._syntactic``); no trimmed algebra is
+    built.  It accepts the same language; its accepting set is disjunctive."""
+    res = _syntactic(rec.algebra, rec.finals, rec.valuation.values())
     rec2 = Recognizer(
         res.algebra,
-        t.table,
-        {x: res.morphism[t.valuation[x]] for x in t.table.leaves},
+        rec.table,
+        {x: res.morphism[rec.valuation[x]] for x in rec.table.leaves},
         res.finals_image,
     )
     return res, rec2

@@ -35,7 +35,7 @@ class SyntacticResult:
 def syntactic_congruence(alg: RegularAlgebra, subset) -> Partition:
     """The coarsest congruence saturating the subset, by partition refinement
     from {subset, rest} (see ``algebra._refine``)."""
-    return _refine(alg, frozenset(subset).__contains__)[0]
+    return _refine(alg, frozenset(subset).__contains__, alg.elements)[0]
 
 
 def is_disjunctive(alg: RegularAlgebra, subset) -> bool:
@@ -44,15 +44,20 @@ def is_disjunctive(alg: RegularAlgebra, subset) -> bool:
 
 
 def syntactic_algebra(alg: RegularAlgebra, subset) -> SyntacticResult:
-    H = frozenset(subset)
-    theta, state_classes = _refine(alg, H.__contains__)
-    quot = _quotient(alg, theta, state_classes)
-    morphism = {a: theta.class_name(a) for a in alg.elements}
+    return _syntactic(alg, frozenset(subset), alg.elements)
+
+
+def _syntactic(alg: RegularAlgebra, H: frozenset, seed) -> SyntacticResult:
+    """The syntactic algebra of H among the elements the seed generates (the
+    rest of H is left out): one ``_refine``, the quotient read off its rows."""
+    theta, table = _refine(alg, H.__contains__, seed)
+    quot = _quotient(alg, theta, table)
+    morphism = {a: quot.elements[theta.class_index(a)] for a in theta.universe}
     return SyntacticResult(
         theta=theta,
         algebra=quot,
         morphism=morphism,
-        finals_image=frozenset(morphism[a] for a in H),
+        finals_image=frozenset(morphism[a] for a in theta.universe if a in H),
     )
 
 

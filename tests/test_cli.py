@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -240,6 +241,23 @@ def test_recognize_reads_a_term_file_that_starts_with_a_byte_order_mark(capsys, 
     assert run(capsys, *argv) == (2, "reject\tline(text)\n", error)
     terms.write_text("line(\ufefftext)\n", encoding="utf-8")
     assert run(capsys, *argv) == (2, "", error.replace("0", "5"))
+
+
+def test_recognize_skips_a_byte_order_mark_on_stdin(capsys, monkeypatch):
+    argv = ["-w", str(FIXTURES / "xml.uta"), "recognize", "--rec", "xmldoc", "-"]
+
+    def piped(text):
+        data = text.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        return run(capsys, *argv)
+
+    assert piped("\ufeffline(text)\n") == (1, "reject\tline(text)\n", "")
+    want = "accept\tinvoices(invoice(line(text)))\nreject\tline(text)\n"
+    assert piped("\ufeffinvoices(invoice(line(text)))\r\nline(text)") == (1, want, "")
+    # a mark past the start of the input is an unexpected character, as before
+    error = "error: unexpected character '\\ufeff' at position 0\n"
+    assert piped("line(text)\n\ufeffline(text)\n") == (2, "reject\tline(text)\n", error)
+    assert piped("\ufeff\ufeffline(text)\n") == (2, "", error)
 
 
 def test_deterministic_output(capsys):
