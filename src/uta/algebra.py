@@ -125,12 +125,23 @@ def eval_term(alg: RegularAlgebra, valuation: dict, t: Tree) -> object:
 
 def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
     """Least omega-closed subset holding the seed, in carrier order (``_closure``)."""
-    return _closure(alg, omega, seed)[0]
+    omega = tuple(alg.sigma if omega is None else omega)
+    if not omega:
+        raise AlgebraError("need at least one operator to close under")
+    for f in omega:
+        if f not in alg.ops:
+            raise AlgebraError(f"unknown operator {f!r}")
+    seed = set(seed)
+    for a in seed - set(alg.elements):
+        raise AlgebraError(f"seed element {element_label(a)} outside carrier")
+    return _closure(alg.elements, [alg.ops[f] for f in omega], seed)[0]
 
 
-def _closure(alg: RegularAlgebra, omega, seed) -> tuple:
-    """The generated closure, with each omega machine's states reached over
-    it (start first, then in order of discovery).
+def _closure(elements, machines, seed) -> tuple:
+    """The elements the seed generates under the machines, in the order of
+    ``elements``, with each machine's states reached over them (start
+    first, then in order of discovery).  A machine is anything with
+    ``start``, ``delta[q, a]`` and ``out[q]``; nothing is checked.
 
     Incremental: each start state gives its operator's constant (the empty
     word), and each state found keeps how many elements it has read, so a
@@ -138,20 +149,9 @@ def _closure(alg: RegularAlgebra, omega, seed) -> tuple:
     every element found so far.  Each (state, letter) step is taken once,
     and no witness word is built.
     """
-    omega = tuple(alg.sigma if omega is None else omega)
-    if not omega:
-        raise AlgebraError("need at least one operator to close under")
-    for f in omega:
-        if f not in alg.ops:
-            raise AlgebraError(f"unknown operator {f!r}")
     found = set(seed)
-    carrier = set(alg.elements)
-    for a in found:
-        if a not in carrier:
-            raise AlgebraError(f"seed element {element_label(a)} outside carrier")
-    machines = [alg.ops[f] for f in omega]
     found.update(m.out[m.start] for m in machines)
-    letters = [a for a in alg.elements if a in found]
+    letters = [a for a in elements if a in found]
     reached = [{m.start: 0} for m in machines]  # state -> letters read
     grown = True
     while grown:
@@ -169,7 +169,7 @@ def _closure(alg: RegularAlgebra, omega, seed) -> tuple:
                             found.add(out[q2])
                             letters.append(out[q2])
                 done[q] = n
-    return tuple(a for a in alg.elements if a in found), list(map(list, reached))
+    return tuple(a for a in elements if a in found), list(map(list, reached))
 
 
 def subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
@@ -313,7 +313,7 @@ def _refine(alg: RegularAlgebra, key, seed):
     lists.  Returns theta and ``(columns, state classes, rows, outputs,
     starts)`` for ``_quotient``.
     """
-    elements, reached = _closure(alg, alg.sigma, seed)
+    elements, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], seed)
     col = {a: j for j, a in enumerate(elements)}
     state, rows, outs, starts = [], [], [], []
     for i, (f, states) in enumerate(zip(alg.sigma, reached)):

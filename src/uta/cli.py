@@ -16,6 +16,7 @@ import sys
 
 from .algebra import (
     GCongruence,
+    _operator_classes,
     derived_algebra,
     describe_translation,
     g_product,
@@ -46,7 +47,6 @@ from .recognizer import (
     trim,
     union,
 )
-from .syntactic import reduced_syntactic
 from .trees import (
     Definite,
     GenDefinite,
@@ -397,13 +397,12 @@ def _cmd_sa(ws, args):
 
 
 def _cmd_ra(ws, args):
-    rec = _get_rec(ws, args)
-    trec = trim(rec)
-    res = reduced_syntactic(trec.algebra, trec.finals)
+    res, _ = syntactic_of(_get_rec(ws, args))
+    sigma = _operator_classes(res.algebra)
     print(f"element classes: {res.theta.block_count}")
-    print(f"operator classes: {res.sigma.block_count}")
-    for block in res.sigma.blocks:
-        print("  " + res.sigma.class_name(block[0]) + " = {" + ", ".join(block) + "}")
+    print(f"operator classes: {sigma.block_count}")
+    for block in sigma.blocks:
+        print("  " + sigma.class_name(block[0]) + " = {" + ", ".join(block) + "}")
     return 0
 
 

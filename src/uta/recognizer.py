@@ -10,23 +10,19 @@ decisions with concrete witnesses.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import re
 from collections import deque
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
+from itertools import count, product
 
-from .algebra import (
-    RegularAlgebra,
-    derived_algebra,
-    eval_term,
-    generated_closure,
-    subalgebra,
-)
+from .algebra import RegularAlgebra, _closure, derived_algebra, eval_term, generated_closure
 from .horizon import (
     MooreMachine,
-    _product_reach,
     reachable_with_witnesses,
+    restrict_machine,
     state_records,
     tuple_product_machine,
 )
@@ -178,19 +174,18 @@ def eval_context(rec: Recognizer, p: Tree, hole_value):
 
 def reachable_carrier(rec: Recognizer) -> tuple:
     """The elements some tree actually evaluates to."""
-    return generated_closure(
-        rec.algebra, rec.algebra.sigma, set(rec.valuation.values())
-    )
+    return generated_closure(rec.algebra, rec.algebra.sigma, set(rec.valuation.values()))
 
 
 def trim(rec: Recognizer) -> Recognizer:
-    """Restrict the algebra to the reachable carrier through ``subalgebra``;
-    the language is kept, and every remaining element is the value of some
-    tree.  (``syntactic_of`` builds no trimmed algebra.)"""
+    """Restrict the algebra to the reachable carrier, from one closure, each
+    machine cut to it by ``restrict_machine``; the language is kept, and
+    every remaining element is the value of some tree."""
     reach = reachable_carrier(rec)
-    if tuple(reach) == rec.algebra.elements:
+    if reach == rec.algebra.elements:
         return rec
-    alg = subalgebra(rec.algebra, reach)
+    ops = {f: restrict_machine(rec.algebra.ops[f], reach) for f in rec.algebra.sigma}
+    alg = RegularAlgebra(reach, rec.algebra.sigma, ops)
     return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
 
 
@@ -207,47 +202,45 @@ def _check_same_table(rec1: Recognizer, rec2: Recognizer):
         raise RecognizerError("recognizers use different symbol tables")
 
 
+class _Lookup:
+    """A function read as a mapping: ``lookup[key]`` is ``fn(key)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
+
+
+class _SideBySide:
+    """Two machines run side by side, in the shape ``_closure`` reads: a
+    state, a letter and an output are pairs, and nothing is tabulated."""
+
+    def __init__(self, m1: MooreMachine, m2: MooreMachine):
+        d1, d2, o1, o2 = m1.delta, m2.delta, m1.out, m2.out
+        self.start = m1.start, m2.start
+        self.delta = _Lookup(lambda k: (d1[k[0][0], k[1][0]], d2[k[0][1], k[1][1]]))
+        self.out = _Lookup(lambda q: (o1[q[0]], o2[q[1]]))
+
+
 def _pair_recognizer(rec1: Recognizer, rec2: Recognizer, accept) -> Recognizer:
     """Product of two recognizers over the pairs some tree evaluates to.
 
-    Starts from the paired valuation and closes it under each operator by
-    walking that operator's machine pair over the pairs found so far, until
-    no new output pair appears: no unreachable pair is built (on-the-fly
-    product construction).  The carrier keeps the cartesian order of the
-    factor carriers; a pair (a, b) is accepting when
+    One ``_closure`` of the paired valuation under each operator's two
+    machines side by side finds those pairs, in the cartesian order of the
+    factor carriers; no unreachable pair is built (on-the-fly product
+    construction).  Each operator's machine is then the synchronous product
+    over them (``tuple_product_machine``); a pair (a, b) is accepting when
     ``accept(a in F1, b in F2)``.
     """
     _check_same_table(rec1, rec2)
     alg1, alg2 = rec1.algebra, rec2.algebra
     sigma = tuple(rec1.table.operators)
-    pos1 = {a: i for i, a in enumerate(alg1.elements)}
-    pos2 = {b: i for i, b in enumerate(alg2.elements)}
-
-    def cartesian(pair):
-        return pos1[pair[0]], pos2[pair[1]]
-
-    valuation = {
-        x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves
-    }
-    reached = set(valuation.values())
-    grown = True
-    while grown:
-        grown = False
-        letters = tuple(reached)
-        for f in sigma:
-            m1, m2 = alg1.ops[f], alg2.ops[f]
-            for (q1, q2), _, _ in _product_reach((m1, m2), letters):
-                pair = (m1.out[q1], m2.out[q2])
-                if pair not in reached:
-                    reached.add(pair)
-                    grown = True
-    carrier = tuple(sorted(reached, key=cartesian))
-    ops = {
-        f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma
-    }
-    finals = {
-        (a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)
-    }
+    valuation = {x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves}
+    pairs = [_SideBySide(alg1.ops[f], alg2.ops[f]) for f in sigma]
+    carrier = _closure(tuple(product(alg1.elements, alg2.elements)), pairs, valuation.values())[0]
+    ops = {f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma}
+    finals = {(a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)}
     return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
 
 
@@ -323,47 +316,54 @@ def _least_trees(rec: Recognizer) -> dict:
     """Each reachable element's least tree in (size, rendering) order, as
     ``element -> (size, rendering, tree)``.
 
-    Fixpoint of relaxations: leaves seed the map, and each machine is
-    relaxed Bellman-Ford style over words of already-valued elements.  A
-    word's text joins one piece ``r,`` per letter (r the letter's least
-    rendering); equal sizes tie-break by text, and ``f(`` + text without
-    its last comma + ``)`` is the element's rendering, so no tree is
-    rendered.  Names sort above ``(``, ``)`` and ``,``, so the pieces are
-    prefix-free: two texts of equal size first differ inside a piece, so a
-    least word extends least words and a least tree has least children.
+    One priority search (Knuth's generalization of Dijkstra's algorithm)
+    over elements and (operator, state) nodes, keyed by (size, text), from
+    the leaves and each start state's empty word.  A state settles with its
+    least word, and its output gets the tree ``f(`` + the text without its
+    last comma + ``)``, so no tree is rendered; an element settles with its
+    least tree, and a word reads it as one piece ``r,`` (r its rendering).
+    Each (state, element) step is pushed once, when both ends have settled.
+
+    The keys are valid: no step lowers a key, and appending a piece keeps
+    the order of two words.  Names sort above ``(``, ``)`` and ``,``, so
+    the pieces are prefix-free: two texts of equal size first differ inside
+    a piece, so a least word extends least words and a least tree has least
+    children.  A key fixes its word or tree, so the order in which equal
+    keys leave the heap changes no result.
     """
-    alg = rec.algebra
-    best = {rec.valuation[x]: (1, x, leaf(x)) for x in sorted(rec.table.leaves, reverse=True)}
-    changed = True
-    while changed:
-        changed = False
-        for f in alg.sigma:
-            m = alg.ops[f]
-            letters = [(a, s, r + ",", t) for a, (s, r, t) in best.items()]
-            # least (size, text, children) word into each state
-            dist: dict = {m.start: (0, "", ())}
-            improved = True
-            while improved:
-                improved = False
-                for q, (dq, tq, kq) in list(dist.items()):
-                    for a, s, piece, t in letters:
-                        q2 = m.delta[(q, a)]
-                        old = dist.get(q2)
-                        d = dq + s
-                        if old is None or d < old[0] or (d == old[0] and tq + piece < old[1]):
-                            dist[q2] = (d, tq + piece, kq + (t,))
-                            improved = True
-            for q, word in dist.items():
-                cand, old = _node(f, *word), best.get(m.out[q])
-                if old is None or cand[:2] < old[:2]:
-                    best[m.out[q]] = cand
-                    changed = True
-    return best
+    machines, tick = list(rec.algebra.ops.items()), count()
+    least: dict = {}
+    words = [{} for _ in machines]  # per machine: state -> (size, text, children)
+    # (size, text, tick, machine index or None for an element, node, children or tree)
+    heap = [(1, x, next(tick), None, rec.valuation[x], leaf(x)) for x in rec.table.leaves]
+    heap += [(0, "", next(tick), i, m.start, ()) for i, (_, m) in enumerate(machines)]
+    heapq.heapify(heap)
+    while heap:
+        d, text, _, i, node, kids = heapq.heappop(heap)
+        if i is None:
+            if node in least:
+                continue
+            least[node] = (d, text, kids)
+            steps = [(dq + d, tq + text + ",", j, m.delta[q, node], kq + (kids,))
+                     for j, (_, m) in enumerate(machines) for q, (dq, tq, kq) in words[j].items()]
+        else:
+            (f, m), found = machines[i], words[i]
+            if node in found:
+                continue
+            found[node] = (d, text, kids)
+            size, rendering, tree = _node(f, d, text, kids)
+            steps = [(size, rendering, None, m.out[node], tree)]
+            steps += [(d + s, text + r + ",", i, m.delta[node, a], kids + (t,))
+                      for a, (s, r, t) in least.items()]
+        for d2, text2, j, node2, kids2 in steps:
+            if node2 not in (least if j is None else words[j]):
+                heapq.heappush(heap, (d2, text2, next(tick), j, node2, kids2))
+    return least
 
 
 def minimal_value_trees(rec: Recognizer) -> dict:
     """For every reachable element, its least tree in (size, rendering)
-    order, found by the value search of ``_least_trees`` at every size."""
+    order, from the one priority search of ``_least_trees``."""
     return {a: t for a, (_, _, t) in _least_trees(rec).items()}
 
 

@@ -114,6 +114,24 @@ def bool_true() -> Recognizer:
     return Recognizer(alg, table, {"zero": "0", "one": "1"}, frozenset({"1"}))
 
 
+def machine_data(m):
+    """A machine as data: states, alphabet and maps in their order."""
+    return m.states, m.alphabet, m.start, tuple(m.delta.items()), tuple(m.out.items())
+
+
+def recognizer_data(rec):
+    """A recognizer as data: carrier order, each machine with its state
+    order, valuation and finals."""
+    alg = rec.algebra
+    return (
+        alg.elements,
+        alg.sigma,
+        [machine_data(alg.ops[f]) for f in alg.sigma],
+        tuple(rec.valuation.items()),
+        rec.finals,
+    )
+
+
 def subsets(xs):
     """Every subset of xs as a frozenset, smallest first."""
     xs = tuple(xs)
@@ -151,6 +169,19 @@ def random_recognizer(rng: random.Random) -> Recognizer:
     valuation = {x: rng.choice(alg.elements) for x in table.leaves}
     finals = frozenset(a for a in alg.elements if rng.random() < 0.5)
     return trim(Recognizer(alg, table, valuation, finals))
+
+
+def untrimmed_recognizer(rng, n, max_states, table=None):
+    """A recognizer over an n-element carrier, not trimmed; its table, when
+    not given, has one or two operators and zero to two leaves."""
+    if table is None:
+        table = SymbolTable(("f", "g")[: rng.randint(1, 2)], ("x", "y")[: rng.randint(0, 2)])
+    elements = tuple(str(i) for i in range(n))
+    ops = {f: random_machine(rng, elements, max_states) for f in table.operators}
+    alg = RegularAlgebra(elements, table.operators, ops)
+    valuation = {x: rng.choice(elements) for x in table.leaves}
+    finals = frozenset(a for a in elements if rng.random() < 0.5)
+    return Recognizer(alg, table, valuation, finals)
 
 
 def random_tree(rng: random.Random, table: SymbolTable, max_size: int):

@@ -2,8 +2,11 @@
 checked against the product towers they replaced, against plain
 enumeration, and against time budgets on the cases that were slow; least
 trees from the value search, checked against the enumerating references
-they replaced."""
+they replaced.  The relaxation rounds that the priority search replaced,
+and the rounds of pair searches that the one closure of the pair product
+replaced, are referees too: the library must give the same data."""
 
+import operator
 import random
 import time
 from functools import lru_cache
@@ -17,6 +20,7 @@ from uta import (
     MooreMachine,
     Recognizer,
     RegularAlgebra,
+    SymbolTable,
     complement,
     decide_nil,
     enumerate_trees,
@@ -35,7 +39,14 @@ from uta import (
     trim,
     union,
 )
-from uta.recognizer import _PumpingGraph, minimal_value_trees, size_at_least_recognizer
+from uta.horizon import _product_reach, tuple_product_machine
+from uta.recognizer import (
+    _least_trees,
+    _pair_recognizer,
+    _PumpingGraph,
+    minimal_value_trees,
+    size_at_least_recognizer,
+)
 from uta.trees import _NAME_RE, Tree, TreeBank, leaf, subtrees
 
 from helpers import (
@@ -50,8 +61,10 @@ from helpers import (
     random_algebra,
     random_recognizer,
     random_table,
+    recognizer_data,
     root_f,
     singleton_x3,
+    untrimmed_recognizer,
 )
 
 FIXTURES = (parity_odd, root_f, all_trees_rec, empty_rec, singleton_x3, contains_x, bool_true)
@@ -277,6 +290,76 @@ def least_trees_up_to_5(rec):
 
 
 # ---------------------------------------------------------------------------
+# The rounds that the priority search and the one closure replaced
+
+
+def ref_least_trees(rec):
+    """Least trees by a fixpoint of relaxations: leaves seed the map, and
+    each machine is relaxed Bellman-Ford style over words of elements
+    valued so far, until no element's (size, rendering) improves."""
+    alg = rec.algebra
+    best = {rec.valuation[x]: (1, x, leaf(x)) for x in sorted(rec.table.leaves, reverse=True)}
+    changed = True
+    while changed:
+        changed = False
+        for f in alg.sigma:
+            m = alg.ops[f]
+            letters = [(a, s, r + ",", t) for a, (s, r, t) in best.items()]
+            # least (size, text, children) word into each state
+            dist = {m.start: (0, "", ())}
+            improved = True
+            while improved:
+                improved = False
+                for q, (dq, tq, kq) in list(dist.items()):
+                    for a, s, piece, t in letters:
+                        q2 = m.delta[(q, a)]
+                        old = dist.get(q2)
+                        d = dq + s
+                        if old is None or d < old[0] or (d == old[0] and tq + piece < old[1]):
+                            dist[q2] = (d, tq + piece, kq + (t,))
+                            improved = True
+            for q, (d, text, kids) in dist.items():
+                cand = (d + 1, f + "(" + text[:-1] + ")" if kids else f, Tree(f, kids))
+                old = best.get(m.out[q])
+                if old is None or cand[:2] < old[:2]:
+                    best[m.out[q]] = cand
+                    changed = True
+    return best
+
+
+def ref_pair_recognizer(rec1, rec2, accept):
+    """The reachable pair product by rounds: walk each operator's machine
+    pair over every pair found so far, until no output pair is new."""
+    alg1, alg2 = rec1.algebra, rec2.algebra
+    sigma = tuple(rec1.table.operators)
+    pos1 = {a: i for i, a in enumerate(alg1.elements)}
+    pos2 = {b: i for i, b in enumerate(alg2.elements)}
+    valuation = {x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves}
+    reached = set(valuation.values())
+    grown = True
+    while grown:
+        grown = False
+        letters = tuple(reached)
+        for f in sigma:
+            m1, m2 = alg1.ops[f], alg2.ops[f]
+            for (q1, q2), _, _ in _product_reach((m1, m2), letters):
+                pair = (m1.out[q1], m2.out[q2])
+                if pair not in reached:
+                    reached.add(pair)
+                    grown = True
+    carrier = tuple(sorted(reached, key=lambda p: (pos1[p[0]], pos2[p[1]])))
+    ops = {f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma}
+    finals = {(a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)}
+    return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
+
+
+# {f; x} and {f, g; x, y}; the counters at these sizes up to 40 (the
+# referee's rounds take 0.1-0.2 s at 40)
+COUNTER_TABLES = (PARITY_TABLE, SymbolTable(("f", "g"), ("x", "y")))
+COUNTER_SIZES = (*range(1, 13), 16, 20, 27, 33, 40)
+
+
+# ---------------------------------------------------------------------------
 # Seeded draws
 
 
@@ -418,6 +501,54 @@ def test_least_members_past_seven_nodes_are_canonical():
     counters = [size_at_least_recognizer(PARITY_TABLE, s) for s in (9, 10)]
     equal, witness = equivalent(*counters)
     assert not equal and render(witness) == chain(9)
+
+
+def test_least_trees_match_the_relaxation_referee():
+    """Each element's (size, rendering, tree) is the relaxation rounds', on
+    seeded draws, trimmed and not, and on the size counters over {f; x}
+    and {f, g; x, y}; so is min_member."""
+    rng = random.Random(5008)
+    for i in range(1000):
+        if i % 2:
+            rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
+        else:
+            rec = draw(rng, max_elements=5, max_states=4)
+        least = _least_trees(rec)
+        assert least == ref_least_trees(rec)
+        accepted = [least[a] for a in rec.finals if a in least]
+        assert min_member(rec) == (min(accepted)[2] if accepted else None)
+    for table in COUNTER_TABLES:
+        for s in COUNTER_SIZES:
+            counter = size_at_least_recognizer(table, s)
+            least = _least_trees(counter)
+            assert least == ref_least_trees(counter)
+            assert min_member(counter) == least[s][2] and size(least[s][2]) == s
+
+
+def test_pair_products_match_the_rounds_referee():
+    """Intersection, union and the difference behind equivalence give the
+    rounds' recognizer as data (carrier order, machines with their state
+    order, valuation, finals), on seeded pairs and on pairs of size counters
+    over {f; x} and {f, g; x, y}; equivalence gives its least member."""
+    rng = random.Random(5009)
+    for i in range(300):
+        if i % 2:
+            rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
+        else:
+            rec = draw(rng, max_elements=5, max_states=4)
+        other = draw(rng, rec.table, max_elements=5, max_states=4)
+        for accept in (operator.and_, operator.or_, operator.ne):
+            want = ref_pair_recognizer(rec, other, accept)
+            assert recognizer_data(_pair_recognizer(rec, other, accept)) == recognizer_data(want)
+    for table in COUNTER_TABLES:
+        for s in COUNTER_SIZES:
+            pair = [size_at_least_recognizer(table, n) for n in (s, s + 1)]
+            for ours, accept in ((intersect, operator.and_), (union, operator.or_)):
+                want = recognizer_data(ref_pair_recognizer(*pair, accept))
+                assert recognizer_data(ours(*pair)) == want
+            diff = ref_pair_recognizer(*pair, operator.ne)
+            least = ref_least_trees(diff)
+            assert equivalent(*pair) == (False, min(least[a] for a in diff.finals)[2])
 
 
 def test_pair_products_match_the_full_product():

@@ -6,9 +6,13 @@ equal quotient machines.  The pairwise search they replaced (an
 operators, then ``g_quotient`` over a second refinement) is kept here as a
 reference; on seeded algebras both must give the same results and the
 same refusal witnesses.
+
+``uta ra`` reads the classes off the algebra of ``syntactic_of``; the trim
+then ``reduced_syntactic`` it ran before is its reference.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +28,15 @@ from uta import (
     quotient_algebra,
     reduced_syntactic,
     syntactic_algebra,
+    syntactic_of,
+    trim,
 )
-from uta import algebra, cli, syntactic
-from uta.algebra import _pair_violation, _related_pairs
+from uta import algebra, cli, recognizer, syntactic
+from uta.algebra import _operator_classes, _pair_violation, _related_pairs
 
-from helpers import random_machine, subsets
+from helpers import random_machine, random_recognizer, subsets, untrimmed_recognizer
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -164,3 +172,47 @@ def test_reduced_syntactic_proves_nothing_twice(monkeypatch):
         res = reduced_syntactic(alg, H)
         assert len(calls) == 1
         assert res.reduced.sigma == tuple(res.sigma.class_name(b[0]) for b in res.sigma.blocks)
+
+
+def test_ra_classes_match_the_trimmed_path():
+    """Element count, operator blocks and class names of ``syntactic_of``
+    equal those of trim then ``reduced_syntactic``, on seeded recognizers,
+    trimmed and not."""
+    rng = random.Random(6)
+    merged = 0
+    for i in range(400):
+        rec = untrimmed_recognizer(rng, rng.randint(1, 8), 5) if i % 2 else random_recognizer(rng)
+        res, _ = syntactic_of(rec)
+        sigma = _operator_classes(res.algebra)
+        trec = trim(rec)
+        want = reduced_syntactic(trec.algebra, trec.finals)
+        assert res.theta.block_count == want.theta.block_count
+        assert sigma == want.sigma
+        assert [sigma.class_name(b[0]) for b in sigma.blocks] == [
+            want.sigma.class_name(b[0]) for b in want.sigma.blocks
+        ]
+        merged += sigma.block_count < len(rec.algebra.sigma)
+    assert merged > 50
+
+
+def test_ra_closes_once(monkeypatch, capsys):
+    """``uta ra`` makes one closure on each fixture recognizer, and no trim."""
+
+    def refuse(*args):
+        raise AssertionError("ra needs no trim")
+
+    monkeypatch.setattr(cli, "trim", refuse)
+    inner, calls = algebra._closure, []
+
+    def count(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for mod in (algebra, recognizer):
+        monkeypatch.setattr(mod, "_closure", count)
+    for workspace, rec in (("parity.uta", "parity-odd"), ("root.uta", "rootf"),
+                           ("bool.uta", "booltrue"), ("xml.uta", "xmldoc")):
+        calls.clear()
+        assert cli.main(["-w", str(FIXTURES / workspace), "ra", "--rec", rec]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

@@ -6,9 +6,14 @@ The path it replaced (trim through ``subalgebra``, then ``_refine`` and
 search) is kept here as the referee, with the closure that repeated a full
 search per round.  On seeded and fixture recognizers both must give the same
 congruence, morphism, accepting image and quotient machines as data.
+
+``trim`` is one closure too, its machines cut by ``restrict_machine``; the
+trim through ``subalgebra``, which closed the carrier a second time as a
+check, is its referee.  The pair products close once as well.
 """
 
 import random
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -20,17 +25,23 @@ from uta import (
     Partition,
     Recognizer,
     RegularAlgebra,
-    SymbolTable,
     generated_closure,
     syntactic_algebra,
     syntactic_of,
 )
-from uta import algebra, horizon, recognizer, syntactic
-from uta.algebra import AlgebraError, _closure
+from uta import algebra, equivalent, horizon, intersect, recognizer, syntactic, trim, union
+from uta.algebra import AlgebraError, _closure, subalgebra
 from uta.horizon import reachable_with_witnesses, restrict_machine
 from uta.workspace import load_workspace
 
-from helpers import random_machine, random_recognizer, subsets
+from helpers import (
+    machine_data,
+    random_machine,
+    random_recognizer,
+    recognizer_data,
+    subsets,
+    untrimmed_recognizer,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -63,6 +74,16 @@ def ref_trim(rec):
         return rec
     ops = {f: restrict_machine(rec.algebra.ops[f], reach) for f in rec.algebra.sigma}
     alg = RegularAlgebra(reach, rec.algebra.sigma, ops)
+    return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
+
+
+def ref_subalgebra_trim(rec):
+    """The trim through ``subalgebra``, which closes the carrier again to
+    check it before cutting the machines."""
+    reach = ref_closure(rec.algebra, rec.algebra.sigma, set(rec.valuation.values()))
+    if reach == rec.algebra.elements:
+        return rec
+    alg = subalgebra(rec.algebra, reach)
     return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
 
 
@@ -147,10 +168,6 @@ def ref_syntactic_of(rec):
 # Referee property
 
 
-def machine_data(m):
-    return m.states, m.alphabet, m.start, tuple(m.delta.items()), tuple(m.out.items())
-
-
 def assert_same_as_the_referee(rec):
     res, srec = syntactic_of(rec)
     theta, quot, morphism, finals, ref_srec = ref_syntactic_of(rec)
@@ -162,18 +179,6 @@ def assert_same_as_the_referee(rec):
         assert machine_data(res.algebra.ops[f]) == machine_data(quot.ops[f])
     assert srec == ref_srec
     assert tuple(srec.valuation.items()) == tuple(ref_srec.valuation.items())
-
-
-def untrimmed_recognizer(rng, n, max_states):
-    """A recognizer over an n-element carrier, not trimmed; its table has
-    one or two operators and zero to two leaves."""
-    table = SymbolTable(("f", "g")[: rng.randint(1, 2)], ("x", "y")[: rng.randint(0, 2)])
-    elements = tuple(str(i) for i in range(n))
-    ops = {f: random_machine(rng, elements, max_states) for f in table.operators}
-    alg = RegularAlgebra(elements, table.operators, ops)
-    valuation = {x: rng.choice(elements) for x in table.leaves}
-    finals = frozenset(a for a in elements if rng.random() < 0.5)
-    return Recognizer(alg, table, valuation, finals)
 
 
 def test_syntactic_of_matches_the_trimmed_path():
@@ -213,7 +218,7 @@ def test_syntactic_of_does_nothing_twice(monkeypatch):
     for mod, names in (
         (algebra, ("subalgebra", "restrict_machine", "generated_closure")),
         (horizon, ("restrict_machine",)),
-        (recognizer, ("subalgebra", "trim", "reachable_carrier", "generated_closure")),
+        (recognizer, ("trim", "reachable_carrier", "generated_closure")),
     ):
         for name in names:
             monkeypatch.setattr(mod, name, refuse)
@@ -231,6 +236,7 @@ def test_syntactic_of_does_nothing_twice(monkeypatch):
     for name in calls:
         monkeypatch.setattr(algebra, name, counted(name))
     monkeypatch.setattr(syntactic, "_refine", algebra._refine)
+    monkeypatch.setattr(recognizer, "_closure", algebra._closure)
     rng = random.Random(7)
     for _ in range(40):
         rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
@@ -238,6 +244,78 @@ def test_syntactic_of_does_nothing_twice(monkeypatch):
             found.clear()
         syntactic_of(rec)
         assert len(calls["_refine"]) == 1 and len(calls["_closure"]) == 1
+
+
+def counted_closures(monkeypatch):
+    """The argument tuples of every ``_closure`` call, from either module."""
+    calls = []
+    inner = algebra._closure
+
+    def count(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for mod in (algebra, recognizer):
+        monkeypatch.setattr(mod, "_closure", count)
+    return calls
+
+
+def test_trim_matches_the_subalgebra_referee():
+    """Seeded untrimmed recognizers and the fixtures: the same recognizer
+    as data, carrier order and each machine's state order included."""
+    rng = random.Random(20261020)
+    cut = 0
+    for _ in range(600):
+        rec = untrimmed_recognizer(rng, rng.randint(1, 9), 6)
+        got = trim(rec)
+        assert recognizer_data(got) == recognizer_data(ref_subalgebra_trim(rec))
+        cut += got is not rec
+    assert 100 < cut < 500
+    files = ("parity.uta", "root.uta", "bool.uta", "xml.uta")
+    for rec in load_workspace([str(FIXTURES / f) for f in files]).recognizers.values():
+        assert recognizer_data(trim(rec)) == recognizer_data(ref_subalgebra_trim(rec))
+
+
+def test_trim_closes_once(monkeypatch):
+    """One closure per trim, and no ``subalgebra`` re-check."""
+
+    def refuse(*args):
+        raise AssertionError("trim makes no subalgebra")
+
+    monkeypatch.setattr(algebra, "subalgebra", refuse)
+    calls = counted_closures(monkeypatch)
+    rng = random.Random(8)
+    cut = 0
+    for _ in range(40):
+        rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
+        calls.clear()
+        cut += trim(rec) is not rec
+        assert len(calls) == 1
+    assert cut
+
+
+def test_pair_products_close_once(monkeypatch):
+    """One closure per intersection, union and equivalence; the pair
+    search runs only inside ``tuple_product_machine``."""
+    assert "_product_reach" not in vars(recognizer)
+    calls, searches = counted_closures(monkeypatch), []
+    inner = horizon._product_reach
+
+    def search(*args):
+        searches.append(sys._getframe(1).f_code.co_name)
+        return inner(*args)
+
+    monkeypatch.setattr(horizon, "_product_reach", search)
+    rng = random.Random(9)
+    for _ in range(40):
+        rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
+        other = untrimmed_recognizer(rng, rng.randint(1, 6), 4, rec.table)
+        for combine in (intersect, union, equivalent):
+            calls.clear()
+            searches.clear()
+            combine(rec, other)
+            assert len(calls) == 1
+            assert set(searches) == {"tuple_product_machine"}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +333,7 @@ def test_closure_matches_the_full_search():
         omega = tuple(f for f in sigma if rng.random() < 0.6) or ("g",)
         seed = frozenset(a for a in elements if rng.random() < 0.3)
         for s in (seed, ()):
-            closed, reached = _closure(alg, omega, s)
+            closed, reached = _closure(elements, [alg.ops[f] for f in omega], s)
             assert closed == generated_closure(alg, omega, s) == ref_closure(alg, omega, s)
             for f, states in zip(omega, reached):
                 want = reachable_with_witnesses(alg.ops[f], closed)[0]
