@@ -15,7 +15,6 @@ import operator
 import re
 from collections import deque
 from dataclasses import dataclass, replace
-from graphlib import CycleError, TopologicalSorter
 from itertools import count, product
 
 from .algebra import RegularAlgebra, _closure, derived_algebra, eval_term, generated_closure
@@ -300,7 +299,7 @@ def theta_class_recognizer(rec: Recognizer, t: Tree) -> Recognizer:
 
 
 def is_empty(rec: Recognizer) -> bool:
-    return not (set(reachable_carrier(rec)) & rec.finals)
+    return not rec.finals or not (set(reachable_carrier(rec)) & rec.finals)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +408,37 @@ def _word_to(m: MooreMachine, q, target) -> tuple:
     return words[next(p for p in states if m.out[p] == target)]
 
 
+def _order_or_cycle(sources: dict) -> tuple:
+    """``(order, None)`` with every node after its sources, or ``(None,
+    cycle)``: nodes each a source of the next, the last one of the first.
+    One iterative depth-first search along source-to-node edges, from the
+    nodes in the order ``TopologicalSorter(sources)`` of the standard
+    library files them, so the cycle is the one its ``CycleError`` names
+    (``err.args[1][:-1]``); the order is the reversed finishing order."""
+    succ: dict = {}
+    for node, srcs in sources.items():
+        succ.setdefault(node, [])
+        for s in srcs:
+            succ.setdefault(s, []).append(node)
+    finished: dict = {}  # in finishing order
+    for root in succ:
+        if root in finished:
+            continue
+        path, walks = {root: 0}, [iter(succ[root])]  # path: node -> depth, root first
+        while walks:
+            for node in walks[-1]:
+                if node in path:
+                    return None, list(path)[path[node]:]
+                if node not in finished:
+                    path[node] = len(path)
+                    walks.append(iter(succ[node]))
+                    break
+            else:
+                walks.pop()
+                finished[path.popitem()[0]] = None
+    return list(finished)[::-1], None
+
+
 class _PumpingGraph:
     """The graph whose cycles pump the language of a trimmed recognizer.
 
@@ -491,6 +521,23 @@ class _PumpingGraph:
         accepted.sort(key=lambda e: e[:2])
         return tuple(t for _, _, t in accepted)
 
+    def count(self, order) -> int:
+        """The number of accepted trees, along the order of ``members`` with
+        a number in place of each list: an element's leaves plus the words
+        of its source states, a state's empty word if it starts plus
+        count(q) * count(a) over its predecessors (q, a); one big-integer
+        multiply-add per graph edge, and no tree built."""
+        alg, rec, n = self.alg, self.rec, {}
+        for node in order:
+            f, x = node
+            if f is None:
+                n[node] = sum(v == x for v in rec.valuation.values()) + sum(
+                    n[source] for source in self.sources[node])
+            else:
+                n[node] = (x == alg.ops[f].start) + sum(
+                    n[(f, q)] * n[(None, a)] for q, a in self.pred[f][x])
+        return sum(n[(None, b)] for b in rec.finals)
+
     def pump(self, cycle) -> Tree:
         """An accepted tree that pumps the cycle (its nodes, each built from
         the one before) past criterion 9's bounds
@@ -547,16 +594,15 @@ def is_finite(rec: Recognizer):
     an f-node of arity at least the f-machine's state count, inside an
     accepted tree.  It is a pumped member, not the smallest one past
     those bounds.  A Finite verdict lists every member in (size, rendering)
-    order, built by value, so its cost follows the members' total size.
+    order, built by value, so its cost follows the members' total size
+    (``decide_nil`` counts them instead).
     """
     trec = trim(rec)
     graph = _PumpingGraph(trec)
-    try:
-        order = list(TopologicalSorter(graph.sources).static_order())
-    except CycleError as err:
-        witness = graph.pump(err.args[1][:-1])
-    else:
+    order, cycle = _order_or_cycle(graph.sources)
+    if cycle is None:
         return Finite(graph.members(order))
+    witness = graph.pump(cycle)
     h_bound = len(trec.algebra.elements)
     w_bounds = {f: len(trec.algebra.ops[f].states) for f in trec.algebra.sigma}
     reasons = []

@@ -30,13 +30,14 @@ from .algebra import (
 from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, state_records
 from .partition import element_label
 from .recognizer import (
-    Finite,
     Recognizer,
     RecognizerError,
+    _order_or_cycle,
+    _PumpingGraph,
     complement,
-    is_finite,
     minimal_value_trees,
     syntactic_of,
+    trim,
 )
 from .trees import (
     HOLE_LEAF,
@@ -393,24 +394,24 @@ def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
 
 
 def decide_nil(rec: Recognizer) -> VarietyVerdict:
-    v1 = is_finite(rec)
-    if isinstance(v1, Finite):
-        return VarietyVerdict(
-            "Nil", True, "exact", detail=f"finite with {len(v1.members)} members"
-        )
-    v2 = is_finite(complement(rec))
-    if isinstance(v2, Finite):
-        return VarietyVerdict(
-            "Nil",
-            True,
-            "exact",
-            detail=f"co-finite; complement has {len(v2.members)} members",
-        )
+    """Is the language or its complement finite?  One trim; the complement
+    is taken in the trimmed algebra (``trim(complement(rec))`` as data).
+    A side whose pumping graph has an order gives a yes with its exact
+    member count (``_PumpingGraph.count``), and no member is listed; if
+    both have a cycle, the witnesses are ``is_finite``'s on each side."""
+    trec = trim(rec)
+    cycles = []
+    for side, detail in ((trec, "finite with"), (complement(trec), "co-finite; complement has")):
+        graph = _PumpingGraph(side)
+        order, cycle = _order_or_cycle(graph.sources)
+        if cycle is None:
+            return VarietyVerdict("Nil", True, "exact", detail=f"{detail} {graph.count(order)} members")
+        cycles.append((graph, cycle))
     return VarietyVerdict(
         "Nil",
         False,
         "exact",
-        counterexample=(v1.witness, v2.witness),
+        counterexample=tuple(graph.pump(cycle) for graph, cycle in cycles),
         detail="both the language and its complement pump",
     )
 

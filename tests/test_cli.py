@@ -514,6 +514,15 @@ def test_empty_witness_past_seven_nodes_is_the_least_tree(capsys, tmp_path):
     assert got == (1, "nonempty, witness f(f(f(f(f(f(f(f)))))))\n", "")
 
 
+def test_nil_counts_the_complement_of_twenty_nodes(capsys, tmp_path):
+    """737,922,992,938 trees have fewer than 20 nodes: counted, not listed."""
+    path = tmp_path / "big.uta"
+    path.write_text(dump_recognizer(size_at_least_recognizer(SymbolTable(("f",), ("x",)), 20), "big"))
+    code, out, err = run(capsys, "-w", str(path), "decide", "--rec", "big", "--kind", "nil")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["detail"] == "co-finite; complement has 737922992938 members"
+
+
 def test_bool_binary(capsys):
     code, out, _ = run(
         capsys,

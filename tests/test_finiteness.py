@@ -4,13 +4,16 @@ enumeration, and against time budgets on the cases that were slow; least
 trees from the value search, checked against the enumerating references
 they replaced.  The relaxation rounds that the priority search replaced,
 and the rounds of pair searches that the one closure of the pair product
-replaced, are referees too: the library must give the same data."""
+replaced, are referees too: the library must give the same data.
+``graphlib.TopologicalSorter`` referees the depth-first search that
+replaced it, and member lists and enumeration referee the member count."""
 
 import operator
 import random
 import time
 from functools import lru_cache
-from graphlib import TopologicalSorter
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +24,7 @@ from uta import (
     Recognizer,
     RegularAlgebra,
     SymbolTable,
+    VarietyVerdict,
     complement,
     decide_nil,
     enumerate_trees,
@@ -39,15 +43,18 @@ from uta import (
     trim,
     union,
 )
+from uta import recognizer, varieties
 from uta.horizon import _product_reach, tuple_product_machine
 from uta.recognizer import (
     _least_trees,
+    _order_or_cycle,
     _pair_recognizer,
     _PumpingGraph,
     minimal_value_trees,
     size_at_least_recognizer,
 )
 from uta.trees import _NAME_RE, Tree, TreeBank, leaf, subtrees
+from uta.workspace import load_workspace
 
 from helpers import (
     BOOL_TABLE,
@@ -67,6 +74,8 @@ from helpers import (
     untrimmed_recognizer,
 )
 
+FIXTURE_FILES = [Path(__file__).resolve().parent.parent / "fixtures" / f
+                 for f in ("parity.uta", "root.uta", "bool.uta", "xml.uta")]
 FIXTURES = (parity_odd, root_f, all_trees_rec, empty_rec, singleton_x3, contains_x, bool_true)
 
 
@@ -591,6 +600,148 @@ def test_height_pumping_goes_round_the_cycle_until_the_bound():
     assert membership(rec, verdict.witness)
     assert height(verdict.witness) >= 4
     assert verdict.reason == f"height {height(verdict.witness)} >= 4"
+
+
+# ---------------------------------------------------------------------------
+# The depth-first search that replaced graphlib, the member count that
+# replaced the member list in nil verdicts
+
+
+def graphlib_cycle(sources):
+    """The cycle graphlib's CycleError names, or None for an acyclic graph."""
+    try:
+        TopologicalSorter(sources).prepare()
+    except CycleError as err:
+        return err.args[1][:-1]
+    return None
+
+
+def member_count(lang):
+    """The member count along the pumping graph; None if it has a cycle."""
+    graph = _PumpingGraph(trim(lang))
+    order, cycle = _order_or_cycle(graph.sources)
+    return None if cycle else graph.count(order)
+
+
+def listing_decide_nil(rec):
+    """The nil decision the count replaced: is_finite on each side, its
+    member list's length as the count."""
+    v1 = is_finite(rec)
+    if isinstance(v1, Finite):
+        return VarietyVerdict("Nil", True, "exact", detail=f"finite with {len(v1.members)} members")
+    v2 = is_finite(complement(rec))
+    if isinstance(v2, Finite):
+        return VarietyVerdict(
+            "Nil", True, "exact", detail=f"co-finite; complement has {len(v2.members)} members"
+        )
+    return VarietyVerdict("Nil", False, "exact", counterexample=(v1.witness, v2.witness),
+                          detail="both the language and its complement pump")
+
+
+def nil_draws(seed, n):
+    """Seeded recognizers, trimmed and not, and finite cuts of some."""
+    rng = random.Random(seed)
+    recs = []
+    for i in range(n):
+        rec = untrimmed_recognizer(rng, rng.randint(1, 5), 4) if i % 2 else draw(rng, max_elements=4)
+        recs.append(below(rec, rng.randint(2, 4)) if i % 5 == 0 else rec)
+    return recs
+
+
+def test_depth_first_search_matches_graphlib():
+    """On every pumping graph of seeded draws and their complements: the
+    cycle graphlib names, or else an order with each source before its
+    node, along which the count is the length of the member list."""
+    cyclic = finite = 0
+    for rec in nil_draws(5010, 1000):
+        for lang in (rec, complement(rec)):
+            graph = _PumpingGraph(trim(lang))
+            order, cycle = _order_or_cycle(graph.sources)
+            want = graphlib_cycle(graph.sources)
+            assert cycle == want
+            if cycle:
+                assert order is None
+                cyclic += 1
+                continue
+            position = {node: i for i, node in enumerate(order)}
+            assert len(position) == len(order) == len(graph.sources)
+            assert all(position[s] < position[node]
+                       for node, sources in graph.sources.items() for s in sources)
+            assert graph.count(order) == len(is_finite(lang).members)
+            finite += 1
+    assert cyclic > 1000 and finite > 300
+
+
+def trees_by_size(table, largest):
+    """The number of trees of each size up to largest, by the recurrence
+    trees(n) = leaves + operators * words(n - 1), where words(m), the child
+    words of total size m, is the sum of trees(k) * words(m - k)."""
+    trees, words = [0], [1]
+    for n in range(1, largest + 1):
+        trees.append(len(table.leaves) * (n == 1) + len(table.operators) * words[n - 1])
+        words.append(sum(trees[k] * words[n - k] for k in range(1, n + 1)))
+    return trees
+
+
+def test_member_count_of_the_counters_complements():
+    """Fewer than s nodes: the count is the number of trees enumerated, up
+    to s = 8 over {f; x} and s = 7 over {f, g; x, y} (259,676 trees at s = 8
+    take 1.8 s to build), and the recurrence's number up to s = 40 over
+    both; over {f; x} it is 52,466, 1,296,282 and 737,922,992,938 at s =
+    10, 12 and 20."""
+    for table, enumerated in ((PARITY_TABLE, 8), (COUNTER_TABLES[1], 7)):
+        by_size = trees_by_size(table, 39)
+        for t in enumerate_trees(table, enumerated - 1):
+            by_size[size(t)] -= 1
+        assert not any(by_size[:enumerated])
+        by_size = trees_by_size(table, 39)
+        for s in (*range(1, 13), 20, 27, 40):
+            assert member_count(complement(size_at_least_recognizer(table, s))) == sum(by_size[:s])
+    for s, want in ((10, 52466), (12, 1296282), (20, 737922992938)):
+        assert member_count(complement(size_at_least_recognizer(PARITY_TABLE, s))) == want
+
+
+def test_decide_nil_matches_the_listing_reference():
+    """The same verdict, detail and counterexample pair as listing the
+    members, on seeded draws and the fixtures; the complement taken in the
+    trimmed algebra is the trimmed complement."""
+    pumped = 0
+    fixtures = list(load_workspace(FIXTURE_FILES).recognizers.values())
+    for rec in nil_draws(5011, 1000) + fixtures:
+        assert recognizer_data(complement(trim(rec))) == recognizer_data(trim(complement(rec)))
+        verdict = decide_nil(rec)
+        assert verdict == listing_decide_nil(rec)
+        pumped += not verdict.holds
+    assert pumped > 150
+    assert all(not decide_nil(rec).holds for rec in fixtures)
+
+
+def test_decide_nil_lists_no_member(monkeypatch):
+    """A finite or co-finite verdict builds no member, pumps nothing,
+    searches no least tree, and trims once."""
+
+    counters = [size_at_least_recognizer(t, s) for t in COUNTER_TABLES for s in (1, 4, 20, 40)]
+    langs = counters + [complement(c) for c in counters]
+    langs += [rec for rec in nil_draws(5012, 200) if listing_decide_nil(rec).holds]
+    assert len(langs) > 50
+
+    def refuse(*args):
+        raise AssertionError("a nil verdict lists no member")
+
+    for owner, name in ((_PumpingGraph, "members"), (_PumpingGraph, "pump"),
+                        (recognizer, "minimal_value_trees"), (varieties, "minimal_value_trees")):
+        monkeypatch.setattr(owner, name, refuse)
+    trims = []
+
+    def counted(rec):
+        trims.append(rec)
+        return trim(rec)
+
+    monkeypatch.setattr(recognizer, "trim", counted)
+    monkeypatch.setattr(varieties, "trim", counted)
+    for lang in langs:
+        trims.clear()
+        assert decide_nil(lang).holds and len(trims) == 1
 
 
 # ---------------------------------------------------------------------------
