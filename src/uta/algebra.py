@@ -22,7 +22,6 @@ from .horizon import (
     reachable_with_witnesses,
     restrict_machine,
     run_word,
-    transition_monoid,
     tuple_product_machine,
 )
 from .partition import Partition, element_label
@@ -527,27 +526,39 @@ class TranslationMonoid:
         return self.members[0]
 
 
-def elementary_translations(alg: RegularAlgebra, f: str) -> tuple:
-    """All maps a -> f(u a v) for the operator f, without enumerating words.
-
-    A pair (reachable state, transition-monoid element) of f's machine
-    stands for all (u, v) with those effects, so the set of maps is found
-    without listing words; each map keeps one shortest witness pair.  Their
-    number is at most the reachable states times the transition monoid.
-    """
+def elementary_translations(alg: RegularAlgebra, f: str):
+    """Every map a -> f(u a v) for the operator f, once each, lazily: per
+    reachable state q of f's machine (u its witness word), a breadth-first
+    search over the tuples of states the letters lead q to, each then
+    reading v (letters in alphabet order), a tuple read through the outputs
+    being one map.  It finds each tuple by its shortlex-least word, so a
+    map keeps its least (q, v), and maps come in that order.  No transition
+    monoid is listed."""
     m = alg.ops[f]
+    delta, out = m.delta, m.out
     states, witness = reachable_with_witnesses(m)
-    monoid = transition_monoid(m)
-    pos = {q: i for i, q in enumerate(m.states)}
-    found = {}
+    found, searched = set(), {}
     for q in states:
-        for g in monoid:
-            table = tuple(
-                m.out[g.table[pos[m.delta[(q, a)]]]] for a in alg.elements
-            )
+        row = [delta[q, a] for a in alg.elements]
+        start = tuple(dict.fromkeys(row))  # the distinct states, searched as one tuple
+        spread = tuple([start.index(p) for p in row])
+        # a tuple an earlier search met, with this spread, gives no new map
+        words = searched.setdefault(spread, {})
+        if start in words:
+            continue
+        words[start] = ()
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            table = tuple([out[cur[i]] for i in spread])
             if table not in found:
-                found[table] = Translation(table, ((f, witness[q], g.witness),))
-    return tuple(found.values())
+                found.add(table)
+                yield Translation(table, ((f, witness[q], words[cur]),))
+            for a in m.alphabet:
+                nxt = tuple([delta[p, a] for p in cur])
+                if nxt not in words:
+                    words[nxt] = words[cur] + (a,)
+                    queue.append(nxt)
 
 
 def translation_walk(alg: RegularAlgebra, elementary: dict | None = None):
@@ -557,17 +568,24 @@ def translation_walk(alg: RegularAlgebra, elementary: dict | None = None):
 
     The walk can be exponentially long (the monoid is a transformation
     monoid of the carrier); a caller that stops early pays for the prefix
-    only.  ``elementary`` is the per-operator result of
-    ``elementary_translations``, computed here when not given.
+    only, even in the first layer: the elementary translations, pulled one
+    at a time from ``elementary`` (per operator; ``elementary_translations``
+    by default, which finds them lazily).
     """
     if elementary is None:
         elementary = {f: elementary_translations(alg, f) for f in alg.sigma}
-    gens = [(e.table, e.provenance) for f in alg.sigma for e in elementary[f]]
     pos = {a: i for i, a in enumerate(alg.elements)}
     ident = Translation(tuple(alg.elements), ())
     found = {ident.table}
-    queue = deque([ident])
     yield ident
+    gens, queue = [], deque()
+    for f in alg.sigma:
+        for e in elementary[f]:
+            gens.append((e.table, e.provenance))
+            if e.table not in found:
+                found.add(e.table)
+                queue.append(e)
+                yield e
     while queue:
         p = queue.popleft()
         at = [pos[b] for b in p.table]
@@ -583,7 +601,7 @@ def translation_walk(alg: RegularAlgebra, elementary: dict | None = None):
 def translations(alg: RegularAlgebra) -> TranslationMonoid:
     """The monoid of all translations, tabulated with provenance words in
     the order of ``translation_walk``."""
-    elementary = {f: elementary_translations(alg, f) for f in alg.sigma}
+    elementary = {f: tuple(elementary_translations(alg, f)) for f in alg.sigma}
     members = tuple(translation_walk(alg, elementary))
     return TranslationMonoid(alg.elements, members, elementary)
 

@@ -151,38 +151,3 @@ def machine_disagreement(m1: MooreMachine, m2: MooreMachine):
         if m1.out[q1] != m2.out[q2]:
             return tuple(a for a, _ in word)
     return None
-
-
-@dataclass(frozen=True)
-class StateFunction:
-    """A tabulated map on machine states (aligned with ``states`` order),
-    together with one shortest witness word inducing it."""
-
-    table: tuple
-    witness: tuple
-
-
-def transition_monoid(m: MooreMachine) -> tuple:
-    """All state maps induced by words, closed under composition.
-
-    Breadth-first over appended letters, so each map carries a shortest
-    witness (ties broken by alphabet order).  Contains the identity.
-    """
-    pos = {q: i for i, q in enumerate(m.states)}
-    letter_map = {
-        a: tuple(m.delta[(q, a)] for q in m.states) for a in m.alphabet
-    }
-    identity = tuple(m.states)
-    found = {identity: ()}
-    order = [StateFunction(identity, ())]
-    queue = deque([identity])
-    while queue:
-        cur = queue.popleft()
-        for a in m.alphabet:
-            lm = letter_map[a]
-            nxt = tuple(lm[pos[q]] for q in cur)
-            if nxt not in found:
-                found[nxt] = found[cur] + (a,)
-                order.append(StateFunction(nxt, found[nxt]))
-                queue.append(nxt)
-    return tuple(order)

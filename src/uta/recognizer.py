@@ -453,21 +453,27 @@ class _PumpingGraph:
     element to the useful states that output it.  A cycle through states
     alone pumps the arity of an f-node, a cycle through an element pumps
     the height; without a cycle every member has bounded height and arity.
+    ``base``, a graph over the same algebra and valuation, lends its machine
+    walks, predecessors and least trees, none of which reads the finals.
     """
 
-    def __init__(self, trec: Recognizer):
+    def __init__(self, trec: Recognizer, base: "_PumpingGraph | None" = None):
         alg = self.alg = trec.algebra
         self.rec = trec
-        self.words, self.pred, by_out = {}, {}, {}
-        for f in alg.sigma:
-            m = alg.ops[f]
-            states, self.words[f] = reachable_with_witnesses(m)
-            pred = self.pred[f] = {q: [] for q in states}
-            outs = by_out[f] = {}
-            for q in states:
-                outs.setdefault(m.out[q], []).append(q)
-                for a in alg.elements:
-                    pred[m.delta[(q, a)]].append((q, a))
+        if base is not None:
+            self.words, self.pred, self.by_out, self.least = base.words, base.pred, base.by_out, base.least
+        else:
+            self.words, self.pred, self.by_out, self.least = {}, {}, {}, {}
+            for f in alg.sigma:
+                m = alg.ops[f]
+                states, self.words[f] = reachable_with_witnesses(m)
+                pred = self.pred[f] = {q: [] for q in states}
+                outs = self.by_out[f] = {}
+                for q in states:
+                    outs.setdefault(m.out[q], []).append(q)
+                    for a in alg.elements:
+                        pred[m.delta[(q, a)]].append((q, a))
+        by_out = self.by_out
         # useful[a]: None for a final, else (f, q, b): reading a from state
         # q of f leads to a state with output b, and b was useful first.
         self.useful = {a: None for a in alg.elements if a in trec.finals}
@@ -543,8 +549,9 @@ class _PumpingGraph:
         the one before) past criterion 9's bounds
         (arity at least the machine's state count, or height at least the
         carrier size), plugged into contexts up its value's useful chain."""
-        alg = self.alg
-        value = minimal_value_trees(self.rec)
+        alg, value = self.alg, self.least
+        if not value:
+            value.update(minimal_value_trees(self.rec))
 
         def node(f, head, sub, tail):
             return Tree(f, tuple(value[a] for a in head) + sub + tuple(value[a] for a in tail))

@@ -21,12 +21,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import (
-    RegularAlgebra,
-    Translation,
-    elementary_translations,
-    translation_walk,
-)
+from .algebra import RegularAlgebra, Translation, translation_walk
 from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, state_records
 from .partition import element_label
 from .recognizer import (
@@ -157,34 +152,49 @@ def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
     """A context whose plugging distinguishes the classes a and b of the
     syntactic recognizer; exists because its finals are disjunctive.
 
-    Breadth-first search over ordered carrier pairs from (a, b), the edges
-    being the elementary translations in operator order; it stops at the
-    first pair the finals split, after at most |carrier|^2 pairs.  Pairs are
-    found in the order in which the translation monoid's breadth-first
-    enumeration first reaches them, with the same provenance, so the context
-    is the one the first separating translation of that enumeration gives.
+    Breadth-first search over ordered carrier pairs from (a, b), stopping
+    at the first pair the finals split, after at most |carrier|^2 pairs.
+    The edges of a pair (x, y) come, per operator f and reachable state q
+    (u its witness word), from a breadth-first search over state pairs from
+    (delta(q, x), delta(q, y)): one reached by v gives f(u x v), f(u y v).
+    So each pair is found at its least (f, q, v), with the provenance the
+    monoid's breadth-first walk first reaches it by.  A state pair met
+    before, with all it leads to, gives no new pair, so each operator's
+    state pairs are searched once in all: O(|A|^2 * sum_f reach_f + sum_f
+    |Q_f|^2 * |A|) steps, and no transition monoid is listed.
     """
     alg, finals = srec.algebra, srec.finals
     if (a in finals) != (b in finals):
         return HOLE_LEAF
-    pos = {x: i for i, x in enumerate(alg.elements)}
-    gens = [
-        (e.table, e.provenance)
-        for f in alg.sigma
-        for e in elementary_translations(alg, f)
-    ]
+    # per operator: each state pair met, with its word from the start it was met from
+    walks = [(f, alg.ops[f], *reachable_with_witnesses(alg.ops[f]), {}) for f in alg.sigma]
     words = {(a, b): ()}
     queue = deque([(a, b)])
     while queue:
-        pair = queue.popleft()
-        i, j = pos[pair[0]], pos[pair[1]]
-        for table, provenance in gens:
-            nxt = (table[i], table[j])
-            if nxt not in words:
-                words[nxt] = words[pair] + provenance
-                if (nxt[0] in finals) != (nxt[1] in finals):
-                    return _context_of_translation(words[nxt], value_trees)
-                queue.append(nxt)
+        pair = x, y = queue.popleft()
+        for f, m, states, witness, seen in walks:
+            delta, out = m.delta, m.out
+            for q in states:
+                start = delta[q, x], delta[q, y]
+                if start in seen:  # with all it leads to: no new pair
+                    continue
+                seen[start] = ()
+                todo = deque([start])
+                while todo:
+                    p1, p2 = sp = todo.popleft()
+                    nxt = out[p1], out[p2]
+                    if nxt not in words:
+                        words[nxt] = words[pair] + ((f, witness[q], seen[sp]),)
+                        if (nxt[0] in finals) != (nxt[1] in finals):
+                            return _context_of_translation(words[nxt], value_trees)
+                        if nxt[0] != nxt[1]:  # an equal pair leads to equal pairs only
+                            queue.append(nxt)
+                    if p1 != p2:
+                        for c in m.alphabet:
+                            sp2 = delta[p1, c], delta[p2, c]
+                            if sp2 not in seen:
+                                seen[sp2] = seen[sp] + (c,)
+                                todo.append(sp2)
     raise RecognizerError("no separating context: finals not disjunctive")
 
 
@@ -366,10 +376,11 @@ def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
     p^(n+1) = p^n on the unary maps.  The reported index is the largest
     tail over the monoid; a map entering a proper cycle refutes.
 
-    The monoid is walked lazily in ``translation_walk`` order, so a *no*
-    costs only the walk up to the first map with a proper cycle; a *yes*
-    visits every translation, which can be exponentially many (the problem
-    is PSPACE-complete already for automata on words).
+    The monoid is walked lazily in ``translation_walk`` order, elementary
+    maps included, so a *no* costs only the walk up to the first map with a
+    proper cycle; a *yes* visits every translation, which can be
+    exponentially many (the problem is PSPACE-complete already for automata
+    on words).
     """
     _res, srec = syntactic_of(rec)
     alg = srec.algebra
@@ -398,11 +409,12 @@ def decide_nil(rec: Recognizer) -> VarietyVerdict:
     is taken in the trimmed algebra (``trim(complement(rec))`` as data).
     A side whose pumping graph has an order gives a yes with its exact
     member count (``_PumpingGraph.count``), and no member is listed; if
-    both have a cycle, the witnesses are ``is_finite``'s on each side."""
+    both have a cycle, the witnesses are ``is_finite``'s on each side.  The
+    two sides share one graph's machine walks and least trees."""
     trec = trim(rec)
-    cycles = []
+    cycles, graph = [], None
     for side, detail in ((trec, "finite with"), (complement(trec), "co-finite; complement has")):
-        graph = _PumpingGraph(side)
+        graph = _PumpingGraph(side, graph)
         order, cycle = _order_or_cycle(graph.sources)
         if cycle is None:
             return VarietyVerdict("Nil", True, "exact", detail=f"{detail} {graph.count(order)} members")

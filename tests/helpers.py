@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 from uta import (
@@ -11,10 +13,12 @@ from uta import (
     RegularAlgebra,
     SymbolTable,
     TermGMorphism,
+    Translation,
     leaf,
     op,
     trim,
 )
+from uta.horizon import reachable_with_witnesses
 
 
 def parity_machine() -> MooreMachine:
@@ -137,6 +141,81 @@ def subsets(xs):
     xs = tuple(xs)
     for r in range(len(xs) + 1):
         yield from (frozenset(c) for c in combinations(xs, r))
+
+
+# ---------------------------------------------------------------------------
+# The transition-monoid scans that the translation searches replaced, kept
+# as referees
+
+
+@dataclass(frozen=True)
+class StateFunction:
+    """A tabulated map on machine states (aligned with ``states`` order),
+    together with one shortest witness word inducing it."""
+
+    table: tuple
+    witness: tuple
+
+
+def transition_monoid(m: MooreMachine) -> tuple:
+    """All state maps induced by words, closed under composition.
+
+    Breadth-first over appended letters, so each map carries a shortest
+    witness (ties broken by alphabet order).  Contains the identity.
+    """
+    pos = {q: i for i, q in enumerate(m.states)}
+    letter_map = {a: tuple(m.delta[(q, a)] for q in m.states) for a in m.alphabet}
+    identity = tuple(m.states)
+    found = {identity: ()}
+    order = [StateFunction(identity, ())]
+    queue = deque([identity])
+    while queue:
+        cur = queue.popleft()
+        for a in m.alphabet:
+            lm = letter_map[a]
+            nxt = tuple(lm[pos[q]] for q in cur)
+            if nxt not in found:
+                found[nxt] = found[cur] + (a,)
+                order.append(StateFunction(nxt, found[nxt]))
+                queue.append(nxt)
+    return tuple(order)
+
+
+def monoid_elementary_translations(alg: RegularAlgebra, f: str) -> tuple:
+    """All maps a -> f(u a v): each (reachable state, transition-monoid
+    element) pair of f's machine, each map kept with its first pair."""
+    m = alg.ops[f]
+    states, witness = reachable_with_witnesses(m)
+    monoid = transition_monoid(m)
+    pos = {q: i for i, q in enumerate(m.states)}
+    found = {}
+    for q in states:
+        for g in monoid:
+            table = tuple(m.out[g.table[pos[m.delta[(q, a)]]]] for a in alg.elements)
+            if table not in found:
+                found[table] = Translation(table, ((f, witness[q], g.witness),))
+    return tuple(found.values())
+
+
+def monoid_translation_walk(alg: RegularAlgebra):
+    """The translation walk over the monoid-listed elementary translations,
+    all of them taken before the first step."""
+    gens = [(e.table, e.provenance) for f in alg.sigma for e in monoid_elementary_translations(alg, f)]
+    pos = {a: i for i, a in enumerate(alg.elements)}
+    ident = Translation(tuple(alg.elements), ())
+    found = {ident.table}
+    queue = deque([ident])
+    yield ident
+    while queue:
+        p = queue.popleft()
+        at = [pos[b] for b in p.table]
+        for step, provenance in gens:
+            table = tuple(map(step.__getitem__, at))
+            if table not in found:
+                found.add(table)
+                tr = Translation(table, p.provenance + provenance)
+                queue.append(tr)
+                yield tr
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,17 @@ from uta import (
     run_word,
     syntactic_algebra,
     syntactic_congruence,
-    transition_monoid,
 )
 from uta.horizon import MachineError, reachable_with_witnesses, tuple_product_machine
 
-from helpers import const_machine, parity_machine, random_algebra, random_machine, subsets
+from helpers import (
+    const_machine,
+    parity_machine,
+    random_algebra,
+    random_machine,
+    subsets,
+    transition_monoid,
+)
 
 
 def all_words(alphabet, up_to):

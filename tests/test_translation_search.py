@@ -1,0 +1,129 @@
+"""Elementary translations found by search over state tuples, checked
+against the transition-monoid scan they replaced; the lazy first layer of
+the translation walk; and the work ``decide_nil`` shares between sides."""
+
+import random
+from itertools import chain, islice
+
+from uta import (
+    decide_aperiodic,
+    decide_definite,
+    decide_nil,
+    membership,
+    root_segment,
+    syntactic_of,
+    translation_walk,
+)
+from uta import algebra, recognizer, varieties
+from uta.algebra import elementary_translations
+from uta.workspace import load_workspace
+
+from helpers import (
+    monoid_elementary_translations,
+    monoid_translation_walk,
+    untrimmed_recognizer,
+)
+from test_finiteness import FIXTURE_FILES, nil_draws
+
+
+def test_translation_search_matches_the_monoid_scan():
+    """Seeded draws of up to 7 states per machine, and their syntactic
+    algebras: the same elementary translations as the monoid scan, as
+    sequences (tables and provenance, in order), and the same first 500
+    translations of the walk.  Larger carriers with fewer states give the
+    longer walks."""
+    rng = random.Random(181)
+    maps = walked = full = 0
+    for draws, elements, states in ((100, (1, 4), (2, 7)), (25, (5, 6), (3, 5))):
+        for _ in range(draws):
+            rec = untrimmed_recognizer(rng, rng.randint(*elements), rng.randint(*states))
+            for alg in (rec.algebra, syntactic_of(rec)[1].algebra):
+                for f in alg.sigma:
+                    got = tuple(elementary_translations(alg, f))
+                    assert got == monoid_elementary_translations(alg, f)
+                    maps += len(got)
+                got = list(islice(translation_walk(alg), 500))
+                assert got == list(islice(monoid_translation_walk(alg), 500))
+                walked += len(got)
+                full += len(got) == 500
+    assert maps > 4000 and walked > 4000 and full >= 1
+
+
+# Generator seeds of draws with 3 to 6 elements and up to 9 states whose
+# syntactic machines have 8 or 9 states and whose aperiodicity is refuted
+# by an elementary translation; listing the transition monoids took 0.18
+# to 47 s of their `ap`.
+LARGE_DRAWS = (8, 11, 12, 118)
+
+
+def large_draw(seed):
+    rng = random.Random(seed)
+    return untrimmed_recognizer(rng, rng.randint(3, 6), 9)
+
+
+def test_ap_no_draws_no_elementary_map_past_the_refuting_one(monkeypatch):
+    """On the large draws, an `ap` *no* pulls the elementary translations
+    up to the refuting map and not one past it; the `def` *no* witnesses
+    share their top segment and differ by membership."""
+    pulled = []
+
+    def counted(alg, f):
+        for e in elementary_translations(alg, f):
+            pulled.append(e)
+            yield e
+
+    monkeypatch.setattr(algebra, "elementary_translations", counted)
+    for seed in LARGE_DRAWS:
+        rec = large_draw(seed)
+        alg = syntactic_of(rec)[1].algebra
+        assert max(len(m.states) for m in alg.ops.values()) in (8, 9)
+        pulled.clear()
+        verdict = decide_aperiodic(rec)
+        assert not verdict.holds
+        assert pulled and pulled[-1] == verdict.counterexample
+        every = chain.from_iterable(elementary_translations(alg, f) for f in alg.sigma)
+        prefix = list(islice(every, len(pulled) + 1))
+        assert prefix[:-1] == pulled and len(prefix) == len(pulled) + 1
+        for k in (1, 2, None):
+            verdict = decide_definite(rec, k)
+            assert not verdict.holds
+            t1, t2 = verdict.counterexample
+            if k is not None:
+                assert root_segment(t1, k) == root_segment(t2, k)
+            assert membership(rec, t1) != membership(rec, t2)
+
+
+def test_decide_nil_walks_each_machine_once(monkeypatch):
+    """The language's side and the complement's share one graph's machine
+    walks and least trees: each machine of the trimmed algebra is walked
+    once, and the least-tree search runs at most once."""
+    walked, searches, trims = [], [], []
+    walk, least, trim = recognizer.reachable_with_witnesses, recognizer._least_trees, varieties.trim
+
+    def counted_walk(m, *args):
+        walked.append(m)
+        return walk(m, *args)
+
+    def counted_least(rec):
+        searches.append(rec)
+        return least(rec)
+
+    def kept_trim(rec):
+        trims.append(trim(rec))
+        return trims[-1]
+
+    monkeypatch.setattr(recognizer, "reachable_with_witnesses", counted_walk)
+    monkeypatch.setattr(recognizer, "_least_trees", counted_least)
+    monkeypatch.setattr(varieties, "trim", kept_trim)
+    fixtures = list(load_workspace(FIXTURE_FILES).recognizers.values())
+    both = 0
+    for rec in nil_draws(5013, 300) + fixtures:
+        walked.clear(), searches.clear(), trims.clear()
+        verdict = decide_nil(rec)
+        (trec,) = trims
+        ops = trec.algebra.ops
+        assert sum(any(m is ops[f] for m in walked) for f in ops) == len(ops)
+        assert sum(any(m is n for n in ops.values()) for m in walked) == len(ops)
+        assert len(searches) <= 1
+        both += not verdict.holds
+    assert both > 50
