@@ -18,6 +18,7 @@ from .horizon import (
     MachineError,
     MooreMachine,
     _product_reach,
+    _state_walk,
     machine_disagreement,
     reachable_with_witnesses,
     restrict_machine,
@@ -529,11 +530,11 @@ class TranslationMonoid:
 def elementary_translations(alg: RegularAlgebra, f: str):
     """Every map a -> f(u a v) for the operator f, once each, lazily: per
     reachable state q of f's machine (u its witness word), a breadth-first
-    search over the tuples of states the letters lead q to, each then
-    reading v (letters in alphabet order), a tuple read through the outputs
-    being one map.  It finds each tuple by its shortlex-least word, so a
-    map keeps its least (q, v), and maps come in that order.  No transition
-    monoid is listed."""
+    search (``horizon._state_walk``) over the tuples of states the letters
+    lead q to, each then reading v (letters in alphabet order), a tuple
+    read through the outputs being one map.  It finds each tuple by its
+    shortlex-least word, so a map keeps its least (q, v), and maps come in
+    that order.  No transition monoid is listed."""
     m = alg.ops[f]
     delta, out = m.delta, m.out
     states, witness = reachable_with_witnesses(m)
@@ -543,22 +544,11 @@ def elementary_translations(alg: RegularAlgebra, f: str):
         start = tuple(dict.fromkeys(row))  # the distinct states, searched as one tuple
         spread = tuple([start.index(p) for p in row])
         # a tuple an earlier search met, with this spread, gives no new map
-        words = searched.setdefault(spread, {})
-        if start in words:
-            continue
-        words[start] = ()
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
+        for cur, v in _state_walk(m, start, searched.setdefault(spread, {})):
             table = tuple([out[cur[i]] for i in spread])
             if table not in found:
                 found.add(table)
-                yield Translation(table, ((f, witness[q], words[cur]),))
-            for a in m.alphabet:
-                nxt = tuple([delta[p, a] for p in cur])
-                if nxt not in words:
-                    words[nxt] = words[cur] + (a,)
-                    queue.append(nxt)
+                yield Translation(table, ((f, witness[q], v),))
 
 
 def translation_walk(alg: RegularAlgebra, elementary: dict | None = None):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict
 (rejected term, inequivalent languages, "no" decisions), 2 for usage or
-data errors.  All output is deterministic; ``--json`` switches decision
-output to machine-readable JSON.  Set UTA_COLOR=0 to disable styling.
+data errors.  All output is deterministic; ``--json`` makes ``parse`` and
+``eval`` print JSON, and ``decide`` always does.  Set UTA_COLOR=0 to
+disable styling.
 """
 
 from __future__ import annotations

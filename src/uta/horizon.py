@@ -72,21 +72,38 @@ def state_records(m: MooreMachine) -> dict:
     return records
 
 
+def _state_walk(m: MooreMachine, start: tuple, words: dict, letters=None):
+    """Breadth-first walk over tuples of m's states from the tuple start,
+    every entry reading the same letter (the given letters, default all,
+    in order).  Yields ``(states, word)`` for each tuple, its word the
+    shortest that leads there (ties broken by letter order), before
+    walking on from it.  ``words`` maps each tuple met to its word; a
+    caller walking from several starts shares it, so a tuple met before,
+    with all it leads to, is not walked again."""
+    if start in words:
+        return
+    delta = m.delta
+    letters = m.alphabet if letters is None else tuple(letters)
+    words[start] = ()
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        word = words[cur]
+        yield cur, word
+        for a in letters:
+            nxt = tuple([delta[p, a] for p in cur])
+            if nxt not in words:
+                words[nxt] = word + (a,)
+                queue.append(nxt)
+
+
 def reachable_with_witnesses(m: MooreMachine, letters=None):
     """BFS over the given letters (default: all); returns (states, witness words)."""
-    letters = tuple(m.alphabet if letters is None else letters)
-    order = [m.start]
-    words = {m.start: ()}
-    queue = deque([m.start])
-    while queue:
-        q = queue.popleft()
-        for a in letters:
-            q2 = m.delta[(q, a)]
-            if q2 not in words:
-                words[q2] = words[q] + (a,)
-                order.append(q2)
-                queue.append(q2)
-    return tuple(order), words
+    words: dict = {}
+    for _ in _state_walk(m, (m.start,), words, letters):
+        pass
+    words = {q: word for (q,), word in words.items()}
+    return tuple(words), words
 
 
 def restrict_machine(m: MooreMachine, letters) -> MooreMachine:

@@ -14,12 +14,13 @@ import heapq
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count, product
 
 from .algebra import RegularAlgebra, _closure, derived_algebra, eval_term, generated_closure
 from .horizon import (
     MooreMachine,
+    _state_walk,
     reachable_with_witnesses,
     restrict_machine,
     state_records,
@@ -404,8 +405,7 @@ def size_at_least_recognizer(table: SymbolTable, s: int) -> Recognizer:
 def _word_to(m: MooreMachine, q, target) -> tuple:
     """Shortest word (ties by alphabet order) from state q to a state whose
     output is target; callers ask only for targets q leads to."""
-    states, words = reachable_with_witnesses(replace(m, start=q))
-    return words[next(p for p in states if m.out[p] == target)]
+    return next(word for (p,), word in _state_walk(m, (q,), {}) if m.out[p] == target)
 
 
 def _order_or_cycle(sources: dict) -> tuple:

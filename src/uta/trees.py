@@ -214,30 +214,12 @@ def is_context(t: Tree) -> bool:
     return hole_count(t) == 1
 
 
-def _labels_known(table: SymbolTable, t: Tree) -> bool:
-    """Whether every label of t is in the table (a hole is not), checked
-    over a stack of sibling tuples in any order."""
-    operators, leaves = table.operator_set, table.leaf_set
-    stack = [(t,)]
-    while stack:
-        for u in stack.pop():
-            if u.children:
-                if u.label not in operators:
-                    return False
-                stack.append(u.children)
-            elif u.label not in (leaves if u.is_leaf else operators):
-                return False
-    return True
-
-
 def validate_tree(table: SymbolTable, t: Tree, allow_hole: bool = False) -> None:
     """Check every label of t against the table; raises TermError.
 
-    Only a tree with a hole or an unknown label is scanned in pre-order, so
-    the fault reported is the first in text order.
+    The scan is in pre-order, so the fault reported is the first in text
+    order.
     """
-    if _labels_known(table, t):
-        return
     operators, leaves = table.operator_set, table.leaf_set
     stack = [iter((t,))]
     while stack:

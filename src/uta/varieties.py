@@ -22,7 +22,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .algebra import RegularAlgebra, Translation, translation_walk
-from .horizon import MooreMachine, _product_reach, reachable_with_witnesses, state_records
+from .horizon import (
+    MooreMachine,
+    _product_reach,
+    _state_walk,
+    reachable_with_witnesses,
+    state_records,
+)
 from .partition import element_label
 from .recognizer import (
     Recognizer,
@@ -175,26 +181,14 @@ def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
         for f, m, states, witness, seen in walks:
             delta, out = m.delta, m.out
             for q in states:
-                start = delta[q, x], delta[q, y]
-                if start in seen:  # with all it leads to: no new pair
-                    continue
-                seen[start] = ()
-                todo = deque([start])
-                while todo:
-                    p1, p2 = sp = todo.popleft()
+                for (p1, p2), v in _state_walk(m, (delta[q, x], delta[q, y]), seen):
                     nxt = out[p1], out[p2]
                     if nxt not in words:
-                        words[nxt] = words[pair] + ((f, witness[q], seen[sp]),)
+                        words[nxt] = words[pair] + ((f, witness[q], v),)
                         if (nxt[0] in finals) != (nxt[1] in finals):
                             return _context_of_translation(words[nxt], value_trees)
                         if nxt[0] != nxt[1]:  # an equal pair leads to equal pairs only
                             queue.append(nxt)
-                    if p1 != p2:
-                        for c in m.alphabet:
-                            sp2 = delta[p1, c], delta[p2, c]
-                            if sp2 not in seen:
-                                seen[sp2] = seen[sp] + (c,)
-                                todo.append(sp2)
     raise RecognizerError("no separating context: finals not disjunctive")
 
 
@@ -279,10 +273,12 @@ def _pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
     return op(f, [s for s, _ in kids]), op(f, [t for _, t in kids])
 
 
-def _membership_counterexample(srec, levels, value_trees, level) -> tuple[Tree, Tree]:
+def _membership_counterexample(srec, levels, level) -> tuple[Tree, Tree]:
     """Two trees with equal depth-``level`` top segments and different
     membership: realize the first off-diagonal value pair, then wrap both
-    sides in a context separating the two values."""
+    sides in a context separating the two values.  Only a *no* reaches
+    here, so only a *no* builds the least trees."""
+    value_trees = minimal_value_trees(srec)
     pos = {a: i for i, a in enumerate(srec.algebra.elements)}
     offender = min(
         (ab for ab in levels[level] if ab[0] != ab[1]),
@@ -306,12 +302,12 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
         raise ValueError("Definite needs k >= 0")
     _res, srec = syntactic_of(rec)
     V = srec.algebra.elements
-    value_trees = minimal_value_trees(srec)
     if len(V) <= 1:
         return VarietyVerdict("Def", True, "exact", parameter=0)
     if k == 0:
         finals = [a for a in V if a in srec.finals]
         non = [a for a in V if a not in srec.finals]
+        value_trees = minimal_value_trees(srec)
         return VarietyVerdict(
             "Def",
             False,
@@ -324,7 +320,7 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
         least = outcome[1]
         if k is None or least <= k:
             return VarietyVerdict("Def", True, "exact", parameter=least)
-        s, t = _membership_counterexample(srec, levels, value_trees, k)
+        s, t = _membership_counterexample(srec, levels, k)
         return VarietyVerdict(
             "Def",
             False,
@@ -334,7 +330,7 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
         )
     stable = outcome[1]
     level = min(k, len(levels) - 1) if k is not None else stable
-    s, t = _membership_counterexample(srec, levels, value_trees, level)
+    s, t = _membership_counterexample(srec, levels, level)
     return VarietyVerdict(
         "Def",
         False,

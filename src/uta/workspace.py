@@ -122,11 +122,12 @@ def _fields(toks: _Tokens, what="field"):
     toks.take("}")
 
 
-def _arrows(toks: _Tokens, left, right):
-    """The ``left... -> right`` entries of a list up to its ';', which is
-    taken; commas between entries are optional.  ``left`` says what each
-    name before the arrow is, ``right`` what the name after it is, or None
-    for a term.  Yields (left name, or the pair of them, line, right)."""
+def _arrows(toks: _Tokens, into: dict, duplicate: str, left, right):
+    """Reads the ``left... -> right`` entries of a list up to its ';', which
+    is taken, into ``into``, keyed by the left name or the pair of them;
+    commas between entries are optional.  ``left`` says what each name
+    before the arrow is, ``right`` what the name after it is, or None for
+    a term.  A key already in ``into`` raises ``duplicate % key``."""
     while (tok := toks.peek()) != ";":
         if tok == ",":
             toks.take(",")
@@ -135,7 +136,10 @@ def _arrows(toks: _Tokens, left, right):
         if len(left) == 2:
             key = key, toks.take_name(left[1])[0]
         toks.take("->")
-        yield key, line, toks.take_name(right)[0] if right else _collect_term(toks)
+        value = toks.take_name(right)[0] if right else _collect_term(toks)
+        if key in into:
+            raise WorkspaceError(duplicate % key, toks.path, line)
+        into[key] = value
     toks.take(";")
 
 
@@ -155,19 +159,9 @@ def _parse_machine_body(toks: _Tokens, elements, opname, opline):
             start = toks.take_name()[0]
             toks.take(";")
         elif key == "out":
-            for q, qline, e in _arrows(toks, ("state",), "element"):
-                if q in out:
-                    raise WorkspaceError(
-                        f"duplicate output for state {q}", toks.path, qline
-                    )
-                out[q] = e
+            _arrows(toks, out, "duplicate output for state %s", ("state",), "element")
         elif key == "delta":
-            for (q, a), qline, q2 in _arrows(toks, ("state", "letter"), "state"):
-                if (q, a) in delta:
-                    raise WorkspaceError(
-                        f"duplicate transition ({q}, {a})", toks.path, qline
-                    )
-                delta[(q, a)] = q2
+            _arrows(toks, delta, "duplicate transition (%s, %s)", ("state", "letter"), "state")
         else:
             raise WorkspaceError(f"unknown machine field {key!r}", toks.path, line)
     if not states:
@@ -341,12 +335,7 @@ def _load_text(ws: Workspace, text: str, path: str):
                     finals = _parse_field_value(toks)
                 elif key == "valuation":
                     toks.take(":")
-                    for x, xline, a in _arrows(toks, ("leaf",), "element"):
-                        if x in valuation:
-                            raise WorkspaceError(
-                                f"duplicate valuation for {x}", path, xline
-                            )
-                        valuation[x] = a
+                    _arrows(toks, valuation, "duplicate valuation for %s", ("leaf",), "element")
                 else:
                     raise WorkspaceError(
                         f"unknown recognizer field {key!r}", path, kline
@@ -378,16 +367,10 @@ def _load_text(ws: Workspace, text: str, path: str):
                     dst = _parse_reference(toks, where, key, kline)
                 elif key == "iota":
                     toks.take(":")
-                    for f, fline, g in _arrows(toks, ("operator",), "operator"):
-                        if f in iota:
-                            raise WorkspaceError(f"duplicate iota for {f}", path, fline)
-                        iota[f] = g
+                    _arrows(toks, iota, "duplicate iota for %s", ("operator",), "operator")
                 elif key == "alpha":
                     toks.take(":")
-                    for x, xline, term in _arrows(toks, ("leaf",), None):
-                        if x in alpha_text:
-                            raise WorkspaceError(f"duplicate alpha for {x}", path, xline)
-                        alpha_text[x] = term
+                    _arrows(toks, alpha_text, "duplicate alpha for %s", ("leaf",), None)
                 else:
                     raise WorkspaceError(
                         f"unknown gmorphism field {key!r}", path, kline

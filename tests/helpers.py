@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from uta import (
@@ -18,7 +18,6 @@ from uta import (
     op,
     trim,
 )
-from uta.horizon import reachable_with_witnesses
 
 
 def parity_machine() -> MooreMachine:
@@ -144,6 +143,35 @@ def subsets(xs):
 
 
 # ---------------------------------------------------------------------------
+# The machine searches that ``horizon._state_walk`` replaced, kept as referees
+
+
+def ref_reachable_with_witnesses(m: MooreMachine, letters=None):
+    """Breadth-first over the given letters (default: all) from the start;
+    returns (states, witness words)."""
+    letters = tuple(m.alphabet if letters is None else letters)
+    order = [m.start]
+    words = {m.start: ()}
+    queue = deque([m.start])
+    while queue:
+        q = queue.popleft()
+        for a in letters:
+            q2 = m.delta[(q, a)]
+            if q2 not in words:
+                words[q2] = words[q] + (a,)
+                order.append(q2)
+                queue.append(q2)
+    return tuple(order), words
+
+
+def ref_word_to(m: MooreMachine, q, target) -> tuple:
+    """Shortest word from state q to a state whose output is target, by the
+    search above on a copy of the machine started at q."""
+    states, words = ref_reachable_with_witnesses(replace(m, start=q))
+    return words[next(p for p in states if m.out[p] == target)]
+
+
+# ---------------------------------------------------------------------------
 # The transition-monoid scans that the translation searches replaced, kept
 # as referees
 
@@ -185,7 +213,7 @@ def monoid_elementary_translations(alg: RegularAlgebra, f: str) -> tuple:
     """All maps a -> f(u a v): each (reachable state, transition-monoid
     element) pair of f's machine, each map kept with its first pair."""
     m = alg.ops[f]
-    states, witness = reachable_with_witnesses(m)
+    states, witness = ref_reachable_with_witnesses(m)
     monoid = transition_monoid(m)
     pos = {q: i for i, q in enumerate(m.states)}
     found = {}

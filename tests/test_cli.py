@@ -26,6 +26,18 @@ def run(capsys, *args):
     return code, out.out, out.err
 
 
+# Command lines whose arguments alone fix their output; the CI workflow runs
+# the same file through the installed `uta` from the repository root.
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda pin: " ".join(pin["args"][1:]))
+def test_pinned_command_line(capsys, monkeypatch, pin):
+    monkeypatch.chdir(FIXTURES.parent)
+    expected = [pin["code"]] + ["".join(line + "\n" for line in pin[s]) for s in ("stdout", "stderr")]
+    assert list(run(capsys, *pin["args"])) == expected
+
+
 def test_eval(capsys):
     code, out, _ = run(
         capsys, "-w", str(FIXTURES / "parity.uta"), "eval", "--rec", "parity-odd", "f(x,x)"

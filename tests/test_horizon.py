@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 from itertools import product as cartesian
 
 import pytest
@@ -15,13 +16,22 @@ from uta import (
     syntactic_algebra,
     syntactic_congruence,
 )
-from uta.horizon import MachineError, reachable_with_witnesses, tuple_product_machine
+from uta.horizon import (
+    MachineError,
+    _product_reach,
+    _state_walk,
+    reachable_with_witnesses,
+    tuple_product_machine,
+)
+from uta.recognizer import _word_to
 
 from helpers import (
     const_machine,
     parity_machine,
     random_algebra,
     random_machine,
+    ref_reachable_with_witnesses,
+    ref_word_to,
     subsets,
     transition_monoid,
 )
@@ -306,3 +316,88 @@ def test_quotients_match_the_subset_construction():
                 assert quotient_algebra(alg, theta) == expected
                 quotients += 1
     assert quotients > 500 and refused > 200
+
+
+# ---------------------------------------------------------------------------
+# The walk over one machine's state tuples
+
+
+class CountedReads(dict):
+    """A transition map that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def counted(m: MooreMachine) -> MooreMachine:
+    object.__setattr__(m, "delta", CountedReads(m.delta))
+    return m
+
+
+def walk_draws(seed, n):
+    """Seeded machines over two to four letters, each with a random start
+    state and a random nonempty subset of its letters, in random order."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        elements = tuple(str(i) for i in range(rng.randint(2, 4)))
+        m = random_machine(rng, elements, max_states=rng.randint(1, 7))
+        letters = rng.sample(elements, rng.randint(1, len(elements)))
+        yield rng, m, rng.choice(m.states), letters
+
+
+def test_walk_yields_each_tuple_before_reading_on_from_it():
+    m = counted(random_machine(random.Random(3), ("0", "1", "2"), max_states=4))
+    walk = _state_walk(m, (m.start, m.states[-1]), {})
+    assert next(walk) == ((m.start, m.states[-1]), ())
+    assert m.delta.reads == 0
+    rest = list(walk)
+    # each tuple met reads each letter once per entry, and no more
+    assert m.delta.reads == (1 + len(rest)) * 3 * 2
+
+
+def test_walk_from_a_tuple_met_before_yields_nothing():
+    m = parity_machine()
+    words: dict = {}
+    assert [s for s, _ in _state_walk(m, ("q0", "q1"), words)] == [("q0", "q1"), ("q1", "q0")]
+    assert list(_state_walk(m, ("q1", "q0"), words)) == []
+    assert words == {("q0", "q1"): (), ("q1", "q0"): ("1",)}
+
+
+def test_a_shared_map_walks_only_what_the_first_starts_left():
+    for rng, m, q, letters in walk_draws(20261020, 300):
+        starts = [tuple(rng.choice(m.states) for _ in range(rng.randint(1, 3))) for _ in range(3)]
+        words: dict = {}
+        for start in starts:
+            before = dict(words)
+            fresh = dict(_state_walk(m, start, {}, letters))
+            walked = dict(_state_walk(m, start, words, letters))
+            # a tuple met before, and so all it leads to, is not met again
+            assert walked == {s: w for s, w in fresh.items() if s not in before}
+            # the map keeps each tuple with the word of the start that met it
+            assert words == {**before, **walked}
+            for s, w in walked.items():
+                assert tuple(run_word(replace(m, out={p: p for p in m.states}, start=p), w)
+                             for p in start) == s
+
+
+def test_walks_match_the_searches_they_replaced():
+    targets = 0
+    for rng, m, q, letters in walk_draws(20261021, 400):
+        assert reachable_with_witnesses(m, letters) == ref_reachable_with_witnesses(m, letters)
+        assert reachable_with_witnesses(m) == ref_reachable_with_witnesses(m)
+        states, words = ref_reachable_with_witnesses(replace(m, start=q), letters)
+        assert list(_state_walk(m, (q,), {}, letters)) == [((p,), words[p]) for p in states]
+        for b in dict.fromkeys(m.out[p] for p in ref_reachable_with_witnesses(replace(m, start=q))[0]):
+            assert _word_to(m, q, b) == ref_word_to(m, q, b)
+            targets += 1
+        # a tuple of k states walks as the product of k copies of the machine
+        start = tuple(rng.choice(m.states) for _ in range(rng.randint(2, 3)))
+        copies = [replace(m, start=p) for p in start]
+        pairs = [(s, w) for s, w, _ in _product_reach(copies, [(a,) * len(start) for a in letters])]
+        assert list(_state_walk(m, start, {}, letters)) == [
+            (s, tuple(a for a, *_ in w)) for s, w in pairs
+        ]
+    assert targets > 400

@@ -1,6 +1,7 @@
 """Elementary translations found by search over state tuples, checked
 against the transition-monoid scan they replaced; the lazy first layer of
-the translation walk; and the work ``decide_nil`` shares between sides."""
+the translation walk; the work ``decide_nil`` shares between sides; and
+the least trees only a ``def`` *no* builds."""
 
 import random
 from itertools import chain, islice
@@ -127,3 +128,25 @@ def test_decide_nil_walks_each_machine_once(monkeypatch):
         assert len(searches) <= 1
         both += not verdict.holds
     assert both > 50
+
+
+def test_decide_definite_builds_least_trees_for_a_no_only(monkeypatch):
+    """A ``def`` *yes* reads no tree, so it runs no least-tree search; a
+    *no* runs one, for its counterexample."""
+    searches, least = [], recognizer._least_trees
+
+    def counted_least(rec):
+        searches.append(rec)
+        return least(rec)
+
+    monkeypatch.setattr(recognizer, "_least_trees", counted_least)
+    rng = random.Random(1912)
+    draws = [untrimmed_recognizer(rng, rng.randint(2, 5), rng.randint(1, 4)) for _ in range(100)]
+    answers = {True: 0, False: 0}
+    for rec in draws + list(load_workspace(FIXTURE_FILES).recognizers.values()):
+        for k in (None, 0, 1, 2):
+            searches.clear()
+            verdict = decide_definite(rec, k)
+            assert len(searches) == (not verdict.holds)
+            answers[verdict.holds] += 1
+    assert min(answers.values()) > 100

@@ -81,6 +81,32 @@ algebra a {
         load_workspace_text(bad)
 
 
+def test_a_repeated_field_accumulates():
+    text = (PARITY_TEXT.replace("leaves: x;", "leaves: x y;")
+            .replace("valuation: x -> 1;", "valuation: x -> 1; valuation: y -> 0;")
+            .replace("out: q0 -> 0, q1 -> 1;", "out: q0 -> 0; out: q1 -> 1;")
+            .replace("q0 1 -> q1, ", "q0 1 -> q1; delta: "))
+    ws, parity = load_workspace_text(text), load_workspace_text(PARITY_TEXT)
+    assert ws.recognizers["odd"].valuation == {"x": "1", "y": "0"}
+    assert ws.algebras["parity"] == parity.algebras["parity"]
+
+
+@pytest.mark.parametrize(
+    "old, new, repeated, message",
+    [
+        ("valuation: x -> 1;", "valuation: x -> 1;\n  valuation: x -> 0;", "x -> 0", "duplicate valuation for x"),
+        ("out: q0 -> 0, q1 -> 1;", "out: q0 -> 0, q1 -> 1;\n    out: q1 -> 0;", "q1 -> 0", "duplicate output for state q1"),
+        ("q1 1 -> q0;", "q1 1 -> q0;\n    delta: q1 1 -> q1;", "q1 1 -> q1", r"duplicate transition \(q1, 1\)"),
+    ],
+)
+def test_a_repeated_field_refuses_a_repeated_key(old, new, repeated, message):
+    text = PARITY_TEXT.replace(old, new)
+    line = next(i for i, s in enumerate(text.splitlines(), 1) if repeated in s)
+    with pytest.raises(WorkspaceError, match=message) as exc:
+        load_workspace_text(text, "w.uta")
+    assert (exc.value.path, exc.value.line) == ("w.uta", line)
+
+
 def test_dangling_reference():
     bad = "recognizer r { algebra: nope; finals: 0; }"
     with pytest.raises(WorkspaceError, match="unknown algebra reference"):
