@@ -3,8 +3,8 @@
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict
 (rejected term, inequivalent languages, "no" decisions), 2 for usage or
 data errors.  All output is deterministic; ``--json`` makes ``parse`` and
-``eval`` print JSON, and ``decide`` always does.  Set UTA_COLOR=0 to
-disable styling.
+``eval`` print JSON, ``decide`` always does, and any other command refuses
+the flag with exit code 2.  Set UTA_COLOR=0 to disable styling.
 """
 
 from __future__ import annotations
@@ -593,6 +593,7 @@ _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "oracle": _cmd_oracle,
 }
+_JSON_COMMANDS = ("parse", "eval", "decide")
 
 
 @functools.cache
@@ -605,6 +606,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.json and args.command not in _JSON_COMMANDS:
+            raise CliError(f"--json is not supported by {args.command}")
         ws = load_workspace(args.workspace)
         return _COMMANDS[args.command](ws, args)
     except (CliError, WorkspaceError, ValueError, OSError) as e:

@@ -29,7 +29,6 @@ from .horizon import (
 from .syntactic import SyntacticResult, _syntactic
 from .trees import (
     HOLE,
-    _NO_SPACE,
     _TOKENS_RE,
     SymbolTable,
     TermGMorphism,
@@ -130,9 +129,10 @@ def _token_value(tokens: list, starts: dict, values: dict):
     return value
 
 
-# an innermost group without spaces first, as one token; then those of ``_tokenize``
+# an innermost group without spaces first, as one token; then those of
+# ``_tokenize``; then any other character but a space, which no term holds
 _GROUPED_TOKENS_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)|" + _TOKENS_RE.pattern
+    r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)|" + _TOKENS_RE.pattern + r"|[^ \t\r\n]"
 )
 
 
@@ -141,11 +141,13 @@ def text_evaluator(rec: Recognizer):
     ``(eval_of(rec, t), render(t))`` for ``t = parse_term(text, rec.table)``
     but read in one pass over the tokens, with no tree built: each machine
     state is a (row, output) pair whose row maps a letter to the next state,
-    and the canonical text is the tokens joined.  An innermost group
-    ``f(a,b,...)`` written without spaces is one token, and its value is kept
-    by its text for the life of the function, so a group seen before costs
-    one lookup.  Text that is no term over the table goes through
-    ``parse_term`` and ``eval_of``, so every error is theirs."""
+    and the canonical text is the text without its spaces.  An innermost
+    group ``f(a,b,...)`` written without spaces is one token, and its value
+    is kept by its text for the life of the function, so a group seen before
+    costs one lookup.  Every character but a space lands in some token, and
+    one that is in no term fails the lookups; text that is no term over the
+    table goes through ``parse_term`` and ``eval_of``, so every error is
+    theirs."""
     starts, values = {}, dict(rec.valuation)
     for f in rec.table.operators:
         m = rec.algebra.ops[f]
@@ -154,13 +156,12 @@ def text_evaluator(rec: Recognizer):
 
     def evaluate(text: str) -> tuple:
         tokens = _GROUPED_TOKENS_RE.findall(text)
-        canonical = "".join(tokens)
-        if canonical == text.translate(_NO_SPACE):
-            tokens.append(None)
-            try:
-                return _token_value(tokens, starts, values), canonical
-            except (KeyError, IndexError):
-                pass  # no term: the reference path raises its own error
+        tokens.append(None)
+        try:
+            # any other space would be a token, so split drops only " \t\r\n"
+            return _token_value(tokens, starts, values), "".join(text.split())
+        except (KeyError, IndexError):
+            pass  # no term: the reference path raises its own error
         t = parse_term(text, rec.table)
         return eval_of(rec, t), render(t)
 

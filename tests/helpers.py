@@ -18,6 +18,9 @@ from uta import (
     op,
     trim,
 )
+from uta.horizon import MachineError
+from uta.trees import parse_term
+from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
 
 def parity_machine() -> MooreMachine:
@@ -311,3 +314,341 @@ def random_gmorphism(rng: random.Random, src=None, dst=None) -> TermGMorphism:
     iota = {f: rng.choice(dst.operators) for f in src.operators}
     alpha = {x: random_tree(rng, dst, rng.randint(1, 4)) for x in src.leaves}
     return TermGMorphism(src, dst, iota, alpha)
+
+
+# ---------------------------------------------------------------------------
+# The workspace loader as it read before it read lists as slices: every token
+# taken one call at a time, each paired with its line up front.
+
+
+def ref_load_workspace_text(text: str, path: str = "<text>") -> Workspace:
+    ws = Workspace()
+    _ref_load_text(ws, text, path)
+    return ws
+
+
+class _ref_Tokens:
+    def __init__(self, text: str, path: str):
+        """One ``findall`` per line; the character scan reports a fault."""
+        self.path = path
+        self.items = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0]
+            tokens = _TOKEN.findall(body)
+            if "".join(tokens) == "".join(body.split()):
+                self.items += [(tok, lineno) for tok in tokens]
+                continue
+            pos = 0
+            while pos < len(body):
+                if body[pos].isspace():
+                    pos += 1
+                    continue
+                m = _TOKEN.match(body, pos)
+                if not m:
+                    raise WorkspaceError(
+                        f"unexpected character {body[pos]!r}", path, lineno
+                    )
+                self.items.append((m.group(0), lineno))
+                pos = m.end()
+        self.idx = 0
+
+    def peek(self):
+        return self.items[self.idx][0] if self.idx < len(self.items) else None
+
+    def line(self):
+        if self.idx < len(self.items):
+            return self.items[self.idx][1]
+        return self.items[-1][1] if self.items else 1
+
+    def take(self, expected=None):
+        if self.idx >= len(self.items):
+            raise WorkspaceError(
+                f"unexpected end of file (wanted {expected!r})", self.path, self.line()
+            )
+        tok, line = self.items[self.idx]
+        if expected is not None and tok != expected:
+            raise WorkspaceError(f"expected {expected!r}, got {tok!r}", self.path, line)
+        self.idx += 1
+        return tok, line
+
+    def take_name(self, what="name"):
+        tok, line = self.take()
+        if tok in _PUNCTUATION:
+            raise WorkspaceError(f"expected {what}, got {tok!r}", self.path, line)
+        return tok, line
+
+    def names_until(self, stops=(";",)):
+        names = []
+        while self.peek() is not None and self.peek() not in stops:
+            if self.peek() == ",":
+                self.take(",")
+                continue
+            names.append(self.take_name()[0])
+        return names
+
+
+def _ref_fields(toks: _ref_Tokens, what="field"):
+    """The key and line of each field of a ``{ ... }`` block, braces taken;
+    the caller reads the rest of each field."""
+    toks.take("{")
+    while toks.peek() != "}":
+        yield toks.take_name(what)
+    toks.take("}")
+
+
+def _ref_arrows(toks: _ref_Tokens, into: dict, duplicate: str, left, right):
+    """Reads the ``left... -> right`` entries of a list up to its ';', which
+    is taken, into ``into``, keyed by the left name or the pair of them;
+    commas between entries are optional.  ``left`` says what each name
+    before the arrow is, ``right`` what the name after it is, or None for
+    a term.  A key already in ``into`` raises ``duplicate % key``."""
+    while (tok := toks.peek()) != ";":
+        if tok == ",":
+            toks.take(",")
+            continue
+        key, line = toks.take_name(left[0])
+        if len(left) == 2:
+            key = key, toks.take_name(left[1])[0]
+        toks.take("->")
+        value = toks.take_name(right)[0] if right else _ref_collect_term(toks)
+        if key in into:
+            raise WorkspaceError(duplicate % key, toks.path, line)
+        into[key] = value
+    toks.take(";")
+
+
+def _ref_parse_machine_body(toks: _ref_Tokens, elements, opname, opline):
+    """The machine of an ``op`` body; faults found after the body are
+    reported at the ``op`` line."""
+    states = []
+    start = None
+    out = {}
+    delta = {}
+    for key, line in _ref_fields(toks, "machine field"):
+        toks.take(":")
+        if key == "states":
+            states = toks.names_until()
+            toks.take(";")
+        elif key == "start":
+            start = toks.take_name()[0]
+            toks.take(";")
+        elif key == "out":
+            _ref_arrows(toks, out, "duplicate output for state %s", ("state",), "element")
+        elif key == "delta":
+            _ref_arrows(toks, delta, "duplicate transition (%s, %s)", ("state", "letter"), "state")
+        else:
+            raise WorkspaceError(f"unknown machine field {key!r}", toks.path, line)
+    if not states:
+        raise WorkspaceError(f"op {opname}: no states", toks.path, opline)
+    if start is None:
+        raise WorkspaceError(f"op {opname}: no start state", toks.path, opline)
+    for q in states:
+        if q not in out:
+            raise WorkspaceError(
+                f"op {opname}: no output for state {q}", toks.path, opline
+            )
+        for a in elements:
+            if (q, a) not in delta:
+                raise WorkspaceError(
+                    f"op {opname}: incomplete machine, missing transition ({q}, {a})",
+                    toks.path,
+                    opline,
+                )
+    extra = set(delta) - {(q, a) for q in states for a in elements}
+    if extra:
+        q, a = sorted(extra)[0]
+        raise WorkspaceError(
+            f"op {opname}: transition ({q}, {a}) uses an unknown state or letter",
+            toks.path,
+            opline,
+        )
+    try:
+        return MooreMachine(tuple(states), tuple(elements), start, delta, out)
+    except MachineError as e:
+        raise WorkspaceError(f"op {opname}: {e}", toks.path, opline) from e
+
+
+def _ref_parse_field_value(toks: _ref_Tokens):
+    toks.take(":")
+    names = toks.names_until()
+    toks.take(";")
+    return names
+
+
+def _ref_parse_reference(toks: _ref_Tokens, where, key, line):
+    """The one name a ``key: name;`` field refers to."""
+    names = _ref_parse_field_value(toks)
+    if len(names) != 1:
+        problem = "empty" if not names else f"{len(names)} names in"
+        raise WorkspaceError(f"{where}: {problem} {key!r} field", toks.path, line)
+    return names[0]
+
+
+def _ref_collect_term(toks: _ref_Tokens) -> str:
+    """Slurp tokens of a term up to the closing ';' back into text."""
+    parts = []
+    depth = 0
+    while True:
+        tok = toks.peek()
+        if tok is None:
+            raise WorkspaceError("unterminated term", toks.path, toks.line())
+        if tok == ";" and depth == 0:
+            break
+        if tok == ",":
+            if depth == 0:
+                break
+            parts.append(tok)
+        elif tok == "(":
+            depth += 1
+            parts.append(tok)
+        elif tok == ")":
+            depth -= 1
+            parts.append(tok)
+        else:
+            parts.append(tok)
+        toks.take()
+    return "".join(parts)
+
+
+def _ref_register(ws_dict, kind, name, value, path, line):
+    if name in ws_dict:
+        raise WorkspaceError(f"duplicate {kind} name {name!r}", path, line)
+    ws_dict[name] = value
+
+
+def _ref_load_text(ws: Workspace, text: str, path: str):
+    toks = _ref_Tokens(text, path)
+    while toks.peek() is not None:
+        section, line = toks.take_name("section")
+        name, _ = toks.take_name(f"{section} name")
+        where = f"{section} {name}"
+        if section == "symbols":
+            operators, leaves = [], []
+            for key, kline in _ref_fields(toks):
+                values = _ref_parse_field_value(toks)
+                if key == "operators":
+                    operators = values
+                elif key == "leaves":
+                    leaves = values
+                else:
+                    raise WorkspaceError(f"unknown symbols field {key!r}", path, kline)
+            try:
+                table = SymbolTable(tuple(operators), tuple(leaves))
+            except ValueError as e:
+                raise WorkspaceError(str(e), path, line) from e
+            _ref_register(ws.symbols, "symbols", name, table, path, line)
+        elif section == "algebra":
+            symref = None
+            elements = []
+            machines = {}
+            for key, kline in _ref_fields(toks):
+                if key == "symbols":
+                    symref = _ref_parse_reference(toks, where, key, kline)
+                elif key == "elements":
+                    elements = _ref_parse_field_value(toks)
+                elif key == "op":
+                    opname, opline = toks.take_name("operator")
+                    if not elements:
+                        raise WorkspaceError(
+                            f"algebra {name}: declare elements before op {opname}",
+                            path,
+                            opline,
+                        )
+                    machines[opname] = _ref_parse_machine_body(toks, elements, opname, opline)
+                else:
+                    raise WorkspaceError(f"unknown algebra field {key!r}", path, kline)
+            if symref is None or symref not in ws.symbols:
+                raise WorkspaceError(
+                    f"algebra {name}: unknown symbols reference {symref!r}", path, line
+                )
+            table = ws.symbols[symref]
+            missing = set(table.operators) - set(machines)
+            if missing:
+                raise WorkspaceError(
+                    f"algebra {name}: no machine for operator {sorted(missing)[0]}",
+                    path,
+                    line,
+                )
+            extra = set(machines) - set(table.operators)
+            if extra:
+                raise WorkspaceError(
+                    f"algebra {name}: machine for unknown operator {sorted(extra)[0]}",
+                    path,
+                    line,
+                )
+            try:
+                alg = RegularAlgebra(tuple(elements), table.operators, machines)
+            except ValueError as e:
+                raise WorkspaceError(f"algebra {name}: {e}", path, line) from e
+            _ref_register(ws.algebras, "algebra", name, alg, path, line)
+            ws.algebra_symbols[name] = symref
+        elif section == "recognizer":
+            algref = None
+            valuation = {}
+            finals = []
+            for key, kline in _ref_fields(toks):
+                if key == "algebra":
+                    algref = _ref_parse_reference(toks, where, key, kline)
+                elif key == "finals":
+                    finals = _ref_parse_field_value(toks)
+                elif key == "valuation":
+                    toks.take(":")
+                    _ref_arrows(toks, valuation, "duplicate valuation for %s", ("leaf",), "element")
+                else:
+                    raise WorkspaceError(
+                        f"unknown recognizer field {key!r}", path, kline
+                    )
+            if algref is None or algref not in ws.algebras:
+                raise WorkspaceError(
+                    f"recognizer {name}: unknown algebra reference {algref!r}",
+                    path,
+                    line,
+                )
+            try:
+                rec = Recognizer(
+                    ws.algebras[algref],
+                    ws.symbols_of_algebra(algref),
+                    valuation,
+                    frozenset(finals),
+                )
+            except ValueError as e:
+                raise WorkspaceError(f"recognizer {name}: {e}", path, line) from e
+            _ref_register(ws.recognizers, "recognizer", name, rec, path, line)
+        elif section == "gmorphism":
+            src = dst = None
+            iota = {}
+            alpha_text = {}
+            for key, kline in _ref_fields(toks):
+                if key == "from":
+                    src = _ref_parse_reference(toks, where, key, kline)
+                elif key == "to":
+                    dst = _ref_parse_reference(toks, where, key, kline)
+                elif key == "iota":
+                    toks.take(":")
+                    _ref_arrows(toks, iota, "duplicate iota for %s", ("operator",), "operator")
+                elif key == "alpha":
+                    toks.take(":")
+                    _ref_arrows(toks, alpha_text, "duplicate alpha for %s", ("leaf",), None)
+                else:
+                    raise WorkspaceError(
+                        f"unknown gmorphism field {key!r}", path, kline
+                    )
+            if src is None or src not in ws.symbols:
+                raise WorkspaceError(
+                    f"gmorphism {name}: unknown source table {src!r}", path, line
+                )
+            if dst is None or dst not in ws.symbols:
+                raise WorkspaceError(
+                    f"gmorphism {name}: unknown target table {dst!r}", path, line
+                )
+            src_t, dst_t = ws.symbols[src], ws.symbols[dst]
+            try:
+                alpha = {
+                    x: parse_term(text, dst_t) for x, text in alpha_text.items()
+                }
+                m = TermGMorphism(src_t, dst_t, iota, alpha)
+            except ValueError as e:
+                raise WorkspaceError(f"gmorphism {name}: {e}", path, line) from e
+            _ref_register(ws.gmorphisms, "gmorphism", name, m, path, line)
+        else:
+            raise WorkspaceError(f"unknown section {section!r}", path, line)

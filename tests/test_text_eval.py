@@ -183,7 +183,8 @@ def test_malformed_text_raises_what_the_tree_pipeline_raises(n, name, mutation):
     "text",
     ["", " ", "\t\r\n", "\f", "\u3000", "@", "f()", "x(y)", "text(text)", "f(x", "f(x))",
      "f(x,)", "f(,x)", "(x)", ")", ",", "f x", "f(x) x", "f(x),", "h(x)", "f(x;y)", "f(x)\f",
-     "\vx", "9", "f(x x", "f(x @", "f(x f"],
+     "\vx", "9", "f(x x", "f(x @", "f(x f", "f(x,9)", "f(,)", "f(x)\xa0", "f(x\u2028)", "\x85x",
+     "f(x,\x1cy)"],
 )
 def test_edge_text_gives_what_the_tree_pipeline_gives(name, text):
     rec = RECS[name]

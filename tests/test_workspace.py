@@ -5,6 +5,7 @@ import pytest
 
 from uta import membership, parse_term
 from uta.workspace import (
+    _PUNCTUATION,
     _TOKEN,
     WorkspaceError,
     _Tokens,
@@ -14,7 +15,7 @@ from uta.workspace import (
     load_workspace_text,
 )
 
-from helpers import parity_odd
+from helpers import machine_data, parity_odd, recognizer_data, ref_load_workspace_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -302,5 +303,96 @@ def test_line_scanner_reports_what_the_character_scanner_reports():
             text = text[:i] + rng.choice(pieces) + text[i:]
         got = _scan_outcome(lambda s: _Tokens(s, "w.uta").items, text)
         assert got == _scan_outcome(lambda s: _scan_reference(s, "w.uta"), text)
+        seen.add(got[0] == "ok")
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The loader against the token-by-token reader it replaced
+
+
+def _workspace_data(ws):
+    """A workspace as data, each dict in its order."""
+    return (
+        list(ws.symbols.items()),
+        [(name, alg.elements, alg.sigma, [machine_data(alg.ops[f]) for f in alg.sigma])
+         for name, alg in ws.algebras.items()],
+        [(name, rec.table, recognizer_data(rec)) for name, rec in ws.recognizers.items()],
+        [(name, m.src, m.dst, list(m.iota.items()), list(m.alpha.items()))
+         for name, m in ws.gmorphisms.items()],
+        list(ws.algebra_symbols.items()),
+    )
+
+
+def _load_outcome(load, text):
+    try:
+        return ("ok", _workspace_data(load(text, "w.uta")))
+    except WorkspaceError as e:
+        return (str(e), e.line)
+
+
+def _mutation_spots(text):
+    """(start, end, token) of each token of the fields in LISTED_FIELDS, from
+    the field's name to its ';'."""
+    spots, field, offset = [], None, 0
+    for line in text.splitlines(keepends=True):
+        for m in _TOKEN.finditer(line.split("#", 1)[0]):
+            tok = m.group(0)
+            if tok in LISTED_FIELDS and field is None:
+                field = tok
+            if field is not None:
+                spots.append((offset + m.start(), offset + m.end(), tok))
+            if tok == ";":
+                field = None
+        offset += len(line)
+    return spots
+
+
+LISTED_FIELDS = ("states", "delta", "out", "valuation", "iota", "alpha")
+PUNCTUATION = ["{", "}", ";", ":", ",", "->", "(", ")"]
+
+
+def _mutate(rng, text):
+    """The text with one token of a listed field dropped, duplicated,
+    swapped with the next or replaced by punctuation or a name of the text;
+    spaces keep the tokens around the change apart."""
+    spots = _mutation_spots(text)
+    i = rng.randrange(len(spots))
+    start, end, tok = spots[i]
+    how = rng.choice(["drop", "duplicate", "swap", "replace"])
+    if how == "drop":
+        return text[:start] + " " + text[end:]
+    if how == "duplicate":
+        return text[:end] + " " + tok + " " + text[end:]
+    if how == "swap" and i + 1 < len(spots):
+        start2, end2, tok2 = spots[i + 1]
+        return f"{text[:start]} {tok2} {text[end:start2]} {tok} {text[end2:]}"
+    names = [t for _, _, t in spots if t not in _PUNCTUATION]
+    return text[:start] + " " + rng.choice(PUNCTUATION + names) + " " + text[end:]
+
+
+LOADER_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.uta"))] + [
+    (FIXTURES / "root.uta").read_text(encoding="utf-8") + (FIXTURES / "morphisms.uta").read_text(encoding="utf-8"),
+    PARITY_TEXT,
+    GMORPHISM_TEXT,
+    GMORPHISM_TEXT.replace("alpha: y -> x;", "alpha: y -> f(x, f(x,x), f);"),
+]
+
+
+@pytest.mark.parametrize("text", LOADER_TEXTS, ids=range(len(LOADER_TEXTS)))
+def test_loader_reads_each_text_as_the_token_by_token_reader(text):
+    assert _load_outcome(load_workspace_text, text) == _load_outcome(ref_load_workspace_text, text)
+
+
+def test_loader_reads_mutated_texts_as_the_token_by_token_reader():
+    rng = random.Random(20261021)
+    texts = [text for text in LOADER_TEXTS if _mutation_spots(text)]
+    seen = set()
+    for _ in range(500):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(rng, text)
+        got = _load_outcome(load_workspace_text, text)
+        assert got == _load_outcome(ref_load_workspace_text, text), text
         seen.add(got[0] == "ok")
     assert seen == {True, False}
