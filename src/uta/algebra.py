@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 
 from .horizon import (
     MachineError,
     MooreMachine,
+    _breadth_first,
     _product_reach,
     _state_walk,
     machine_disagreement,
     reachable_with_witnesses,
-    restrict_machine,
     run_word,
-    tuple_product_machine,
 )
 from .partition import Partition, element_label
 from .trees import Tree
@@ -139,47 +139,74 @@ def generated_closure(alg: RegularAlgebra, omega=None, seed=()) -> tuple:
 
 def _closure(elements, machines, seed) -> tuple:
     """The elements the seed generates under the machines, in the order of
-    ``elements``, with each machine's states reached over them (start
-    first, then in order of discovery).  A machine is anything with
-    ``start``, ``delta[q, a]`` and ``out[q]``; nothing is checked.
+    ``elements``, and per machine each state it reaches over them (start
+    first) mapped to its row, the state each of them leads it to.  A
+    machine is anything with ``start``, ``delta[q, a]`` and ``out[q]``.
 
     Incremental: each start state gives its operator's constant (the empty
-    word), and each state found keeps how many elements it has read, so a
-    new element is read by the states already found and a new state reads
-    every element found so far.  Each (state, letter) step is taken once,
-    and no witness word is built.
+    word), and each state found keeps the row of the elements it has read,
+    so a new element is read by the states already found and a new state
+    reads every element found so far.  Each (state, letter) step is taken
+    once, and no witness word is built.
     """
     found = set(seed)
     found.update(m.out[m.start] for m in machines)
     letters = [a for a in elements if a in found]
-    reached = [{m.start: 0} for m in machines]  # state -> letters read
+    reached = [{m.start: []} for m in machines]  # state -> row, in the order of letters
     grown = True
     while grown:
         grown = False
-        for m, done in zip(machines, reached):
+        for m, rows in zip(machines, reached):
             delta, out = m.delta, m.out
-            for q in list(done):
-                n = len(letters)
-                for a in letters[done[q]:n]:
+            for q, row in list(rows.items()):
+                for a in letters[len(row):]:
                     q2 = delta[q, a]
-                    if q2 not in done:
-                        done[q2] = 0
+                    row.append(q2)
+                    if q2 not in rows:
+                        rows[q2] = []
                         grown = True
                         if out[q2] not in found:
                             found.add(out[q2])
                             letters.append(out[q2])
-                done[q] = n
-    return tuple(a for a in elements if a in found), list(map(list, reached))
+    closed = tuple(a for a in elements if a in found)
+    if letters != list(closed):  # two or more letters, in another order
+        in_order = itemgetter(*map({a: j for j, a in enumerate(letters)}.__getitem__, closed))
+        reached = [{q: in_order(row) for q, row in rows.items()} for rows in reached]
+    return closed, reached
 
 
-def subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
-    """Restriction to a closed subset (machines cut to the sub-alphabet)."""
-    keep = set(subset)
-    sub = tuple(a for a in alg.elements if a in keep)
-    if generated_closure(alg, alg.sigma, sub) != sub:
-        raise AlgebraError("subset is not closed under the operations")
-    ops = {f: restrict_machine(alg.ops[f], sub) for f in alg.sigma}
-    return RegularAlgebra(sub, alg.sigma, ops)
+def _row_machine(m, rows: dict, letters) -> MooreMachine:
+    """m over a closure's letters, cut to its states there, named in breadth-first order."""
+    order = _breadth_first(m.start, rows.__getitem__, letters)
+    delta = {(q, a): q2 for q in order for a, q2 in zip(letters, rows[q])}
+    return MooreMachine(tuple(order), letters, m.start, delta, {q: m.out[q] for q in order})
+
+
+class _Outputs(dict):
+    """The outputs of machines run side by side, each computed once, when
+    first looked up: a state and its output are tuples, one entry each."""
+
+    def __init__(self, outs):
+        self.outs = outs
+
+    def __missing__(self, q):
+        out = self[q] = tuple(map(dict.__getitem__, self.outs, q))
+        return out
+
+
+class _Product(dict):
+    """Machines run side by side, in the shape ``_closure`` reads: states,
+    letters and outputs are tuples, one entry per machine.  The product is
+    its own ``delta``, each transition computed when looked up, not kept."""
+
+    delta = property(lambda self: self)  # not an attribute: no reference cycle
+
+    def __init__(self, machines):
+        self.deltas, self.out = [m.delta for m in machines], _Outputs([m.out for m in machines])
+        self.start = tuple(m.start for m in machines)
+
+    def __missing__(self, key):
+        return tuple(map(dict.__getitem__, self.deltas, zip(*key)))
 
 
 def trivial_algebra(sigma) -> RegularAlgebra:
@@ -199,7 +226,8 @@ def g_product(kappa: dict, algebras) -> RegularAlgebra:
     """Product algebra with operators renamed through kappa.
 
     ``kappa`` maps each new operator to a tuple of one operator per factor;
-    the carrier is the cartesian product of the factor carriers.  With no
+    the carrier is the cartesian product of the factor carriers, and each
+    machine is read off one ``_closure`` seeded with every tuple.  With no
     factors the canonical one-element algebra is returned.
     """
     algebras = list(algebras)
@@ -208,19 +236,16 @@ def g_product(kappa: dict, algebras) -> RegularAlgebra:
         raise AlgebraError("kappa must name at least one operator")
     if not algebras:
         return trivial_algebra(sigma)
-    from itertools import product as _cartesian
-
     for g, fs in kappa.items():
         if len(tuple(fs)) != len(algebras):
             raise AlgebraError(f"kappa({g}) must pick one operator per factor")
         for f, a in zip(fs, algebras):
             if f not in a.ops:
                 raise AlgebraError(f"kappa({g}) uses unknown operator {f!r}")
-    carrier = tuple(_cartesian(*(a.elements for a in algebras)))
-    ops = {}
-    for g, fs in kappa.items():
-        machines = [a.ops[f] for f, a in zip(fs, algebras)]
-        ops[g] = tuple_product_machine(machines, carrier)
+    carrier = tuple(product(*(a.elements for a in algebras)))
+    machines = [_Product([a.ops[f] for f, a in zip(fs, algebras)]) for fs in kappa.values()]
+    reached = _closure(carrier, machines, carrier)[1]
+    ops = {g: _row_machine(m, rows, carrier) for g, m, rows in zip(sigma, machines, reached)}
     return RegularAlgebra(carrier, sigma, ops)
 
 
@@ -308,20 +333,20 @@ def _refine(alg: RegularAlgebra, key, seed):
     there are at most as many rounds as elements and states.
 
     Elements and states are those one ``_closure`` of the seed reaches (all
-    of them from the whole carrier).  States are numbered once, each with a
-    row of successor numbers, one column per element; rounds work on int
-    lists.  Returns theta and ``(columns, state classes, rows, outputs,
-    starts)`` for ``_quotient``.
+    of them from the whole carrier).  States are numbered once, each with
+    its row read off the closure's as successor numbers, one column per
+    element; rounds work on int lists.  Returns theta and ``(columns, state
+    classes, rows, outputs, starts)`` for ``_quotient``.
     """
     elements, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], seed)
     col = {a: j for j, a in enumerate(elements)}
     state, rows, outs, starts = [], [], [], []
-    for i, (f, states) in enumerate(zip(alg.sigma, reached)):
-        m, num = alg.ops[f], {q: k for k, q in enumerate(states, len(rows))}
+    for i, (f, reach) in enumerate(zip(alg.sigma, reached)):
+        m, num = alg.ops[f], {q: k for k, q in enumerate(reach, len(rows))}
         starts.append(len(rows))
-        state += [i] * len(states)
-        rows += [[num[m.delta[q, a]] for a in elements] for q in states]
-        outs += [col[m.out[q]] for q in states]
+        state += [i] * len(reach)
+        rows += [list(map(num.__getitem__, row)) for row in reach.values()]
+        outs += [col[m.out[q]] for q in reach]
     # the classes of a row's (a column's) states in one call: one int if 1 long
     row_classes = [itemgetter(*row) for row in rows]
     column_classes = [itemgetter(*column) for column in zip(*rows)]

@@ -97,22 +97,26 @@ def _state_walk(m: MooreMachine, start: tuple, words: dict, letters=None):
                 queue.append(nxt)
 
 
+def _breadth_first(start, row, letters) -> dict:
+    """Each state reached from start, in breadth-first order, mapped to its shortest
+    word (ties by letter order); ``row(q)`` is the state each letter leads q to."""
+    words, queue = {start: ()}, [start]
+    for q in queue:  # grows as states are met
+        word = words[q]
+        for a, q2 in zip(letters, row(q)):
+            if q2 not in words:
+                words[q2] = word + (a,)
+                queue.append(q2)
+    return words
+
+
 def reachable_with_witnesses(m: MooreMachine, letters=None):
     """BFS over the given letters (default: all); returns (states, witness words)."""
-    words: dict = {}
-    for _ in _state_walk(m, (m.start,), words, letters):
-        pass
-    words = {q: word for (q,), word in words.items()}
+    delta = m.delta
+    letters = m.alphabet if letters is None else tuple(letters)
+    rows = {q: [delta[q, a] for a in letters] for q in m.states}
+    words = _breadth_first(m.start, rows.__getitem__, letters)
     return tuple(words), words
-
-
-def restrict_machine(m: MooreMachine, letters) -> MooreMachine:
-    """Sub-machine over a sub-alphabet, cut down to its reachable states."""
-    letters = tuple(letters)
-    states, _ = reachable_with_witnesses(m, letters)
-    delta = {(q, a): m.delta[(q, a)] for q in states for a in letters}
-    out = {q: m.out[q] for q in states}
-    return MooreMachine(states, letters, m.start, delta, out)
 
 
 def _product_reach(machines, letters):
@@ -138,25 +142,6 @@ def _product_reach(machines, letters):
                 words[nxt] = word + (letter,)
                 queue.append(nxt)
         yield qs, word, successors
-
-
-def tuple_product_machine(machines, alphabet) -> MooreMachine:
-    """Synchronous product: letters are tuples fed componentwise.
-
-    Restricted to the states reachable from the paired starts; outputs are
-    the tuples of component outputs.
-    """
-    machines = list(machines)
-    alphabet = tuple(alphabet)
-    states = []
-    delta = {}
-    out = {}
-    for qs, _, successors in _product_reach(machines, alphabet):
-        states.append(qs)
-        out[qs] = tuple(m.out[q] for m, q in zip(machines, qs))
-        for letter, nxt in zip(alphabet, successors):
-            delta[(qs, letter)] = nxt
-    return MooreMachine(tuple(states), alphabet, states[0], delta, out)
 
 
 def machine_disagreement(m1: MooreMachine, m2: MooreMachine):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import RegularAlgebra, run_word, verify_algebra_gmorphism
+from .algebra import AlgebraError, RegularAlgebra, _closure, _row_machine, run_word, verify_algebra_gmorphism
 from .recognizer import Recognizer, membership
 from .partition import Partition
 from .trees import (
@@ -142,6 +142,17 @@ def _is_closed(alg: RegularAlgebra, sub: set) -> bool:
     return True
 
 
+def subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
+    """Restriction to a closed subset, each machine read off one closure."""
+    keep = set(subset)
+    sub = tuple(a for a in alg.elements if a in keep)
+    closed, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], sub)
+    if closed != sub:
+        raise AlgebraError("subset is not closed under the operations")
+    ops = {f: _row_machine(alg.ops[f], rows, sub) for f, rows in zip(alg.sigma, reached)}
+    return RegularAlgebra(sub, alg.sigma, ops)
+
+
 def covers_search(small: RegularAlgebra, big: RegularAlgebra, max_size: int = 5) -> bool:
     """Exhaustively decide whether ``small`` is an epimorphic image of some
     subalgebra of ``big`` (same operator alphabet, identity renaming)."""
@@ -150,8 +161,6 @@ def covers_search(small: RegularAlgebra, big: RegularAlgebra, max_size: int = 5)
     if set(small.sigma) != set(big.sigma):
         raise ValueError("cover search needs a common operator alphabet")
     from itertools import product as _cartesian
-
-    from .algebra import subalgebra
 
     iota = {f: f for f in small.sigma}
     targets = tuple(small.elements)

@@ -17,15 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count, product
 
-from .algebra import RegularAlgebra, _closure, derived_algebra, eval_term, generated_closure
-from .horizon import (
-    MooreMachine,
-    _state_walk,
-    reachable_with_witnesses,
-    restrict_machine,
-    state_records,
-    tuple_product_machine,
-)
+from .algebra import RegularAlgebra, _closure, _Product, _row_machine, derived_algebra, eval_term, generated_closure
+from .horizon import MooreMachine, _breadth_first, _state_walk, state_records
 from .syntactic import SyntacticResult, _syntactic
 from .trees import (
     HOLE,
@@ -178,16 +171,22 @@ def reachable_carrier(rec: Recognizer) -> tuple:
     return generated_closure(rec.algebra, rec.algebra.sigma, set(rec.valuation.values()))
 
 
+def _trim(rec: Recognizer) -> tuple:
+    """``trim``, and the rows its closure gives each machine's reached states."""
+    alg = rec.algebra
+    reach, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], rec.valuation.values())
+    if reach != alg.elements:
+        ops = {f: _row_machine(alg.ops[f], rows, reach) for f, rows in zip(alg.sigma, reached)}
+        alg = RegularAlgebra(reach, alg.sigma, ops)
+        rec = Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
+    return rec, reached
+
+
 def trim(rec: Recognizer) -> Recognizer:
     """Restrict the algebra to the reachable carrier, from one closure, each
-    machine cut to it by ``restrict_machine``; the language is kept, and
-    every remaining element is the value of some tree."""
-    reach = reachable_carrier(rec)
-    if reach == rec.algebra.elements:
-        return rec
-    ops = {f: restrict_machine(rec.algebra.ops[f], reach) for f in rec.algebra.sigma}
-    alg = RegularAlgebra(reach, rec.algebra.sigma, ops)
-    return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
+    machine read off its rows (``algebra._row_machine``); the language is
+    kept, and every remaining element is the value of some tree."""
+    return _trim(rec)[0]
 
 
 def complement(rec: Recognizer) -> Recognizer:
@@ -203,44 +202,24 @@ def _check_same_table(rec1: Recognizer, rec2: Recognizer):
         raise RecognizerError("recognizers use different symbol tables")
 
 
-class _Lookup:
-    """A function read as a mapping: ``lookup[key]`` is ``fn(key)``."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, key):
-        return self.fn(key)
-
-
-class _SideBySide:
-    """Two machines run side by side, in the shape ``_closure`` reads: a
-    state, a letter and an output are pairs, and nothing is tabulated."""
-
-    def __init__(self, m1: MooreMachine, m2: MooreMachine):
-        d1, d2, o1, o2 = m1.delta, m2.delta, m1.out, m2.out
-        self.start = m1.start, m2.start
-        self.delta = _Lookup(lambda k: (d1[k[0][0], k[1][0]], d2[k[0][1], k[1][1]]))
-        self.out = _Lookup(lambda q: (o1[q[0]], o2[q[1]]))
-
-
 def _pair_recognizer(rec1: Recognizer, rec2: Recognizer, accept) -> Recognizer:
     """Product of two recognizers over the pairs some tree evaluates to.
 
     One ``_closure`` of the paired valuation under each operator's two
     machines side by side finds those pairs, in the cartesian order of the
     factor carriers; no unreachable pair is built (on-the-fly product
-    construction).  Each operator's machine is then the synchronous product
-    over them (``tuple_product_machine``); a pair (a, b) is accepting when
-    ``accept(a in F1, b in F2)``.
+    construction).  Each operator's machine, the synchronous product over
+    them, is read off the same closure's rows (``algebra._row_machine``),
+    with no second walk; a pair (a, b) is accepting when ``accept(a in F1,
+    b in F2)``.
     """
     _check_same_table(rec1, rec2)
     alg1, alg2 = rec1.algebra, rec2.algebra
     sigma = tuple(rec1.table.operators)
     valuation = {x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves}
-    pairs = [_SideBySide(alg1.ops[f], alg2.ops[f]) for f in sigma]
-    carrier = _closure(tuple(product(alg1.elements, alg2.elements)), pairs, valuation.values())[0]
-    ops = {f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma}
+    pairs = [_Product((alg1.ops[f], alg2.ops[f])) for f in sigma]
+    carrier, reached = _closure(tuple(product(alg1.elements, alg2.elements)), pairs, valuation.values())
+    ops = {f: _row_machine(m, rows, carrier) for f, m, rows in zip(sigma, pairs, reached)}
     finals = {(a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)}
     return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
 
@@ -313,9 +292,9 @@ def _node(f: str, d: int, text: str, kids: tuple) -> tuple:
     return d + 1, f + "(" + text[:-1] + ")" if kids else f, Tree(f, kids)
 
 
-def _least_trees(rec: Recognizer) -> dict:
+def _least_trees(rec: Recognizer, stop=frozenset()) -> dict:
     """Each reachable element's least tree in (size, rendering) order, as
-    ``element -> (size, rendering, tree)``.
+    ``element -> (size, rendering, tree)``, up to the first of ``stop``.
 
     One priority search (Knuth's generalization of Dijkstra's algorithm)
     over elements and (operator, state) nodes, keyed by (size, text), from
@@ -345,6 +324,8 @@ def _least_trees(rec: Recognizer) -> dict:
             if node in least:
                 continue
             least[node] = (d, text, kids)
+            if node in stop:
+                break
             steps = [(dq + d, tq + text + ",", j, m.delta[q, node], kq + (kids,))
                      for j, (_, m) in enumerate(machines) for q, (dq, tq, kq) in words[j].items()]
         else:
@@ -369,10 +350,9 @@ def minimal_value_trees(rec: Recognizer) -> dict:
 
 
 def min_member(rec: Recognizer):
-    """The least accepted tree in (size, rendering) order, or None."""
-    least = _least_trees(rec)
-    accepted = [least[a] for a in rec.finals if a in least]
-    return min(accepted, key=lambda e: e[:2])[2] if accepted else None
+    """The least accepted tree in (size, rendering) order, or None; ``_least_trees`` stops at it."""
+    least = _least_trees(rec, rec.finals)
+    return next((least[a][2] for a in rec.finals if a in least), None)
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +434,27 @@ class _PumpingGraph:
     element to the useful states that output it.  A cycle through states
     alone pumps the arity of an f-node, a cycle through an element pumps
     the height; without a cycle every member has bounded height and arity.
-    ``base``, a graph over the same algebra and valuation, lends its machine
-    walks, predecessors and least trees, none of which reads the finals.
+    States, witness words and predecessors are read off ``reached``, the
+    rows of the closure that trimmed it (``_trim``), or lent by ``base``, a
+    graph over the same algebra and valuation, with its least trees.
     """
 
-    def __init__(self, trec: Recognizer, base: "_PumpingGraph | None" = None):
+    def __init__(self, trec: Recognizer, reached, base: "_PumpingGraph | None" = None):
         alg = self.alg = trec.algebra
         self.rec = trec
         if base is not None:
             self.words, self.pred, self.by_out, self.least = base.words, base.pred, base.by_out, base.least
         else:
             self.words, self.pred, self.by_out, self.least = {}, {}, {}, {}
-            for f in alg.sigma:
+            for f, rows in zip(alg.sigma, reached):
                 m = alg.ops[f]
-                states, self.words[f] = reachable_with_witnesses(m)
+                states = self.words[f] = _breadth_first(m.start, rows.__getitem__, alg.elements)
                 pred = self.pred[f] = {q: [] for q in states}
                 outs = self.by_out[f] = {}
                 for q in states:
                     outs.setdefault(m.out[q], []).append(q)
-                    for a in alg.elements:
-                        pred[m.delta[(q, a)]].append((q, a))
+                    for a, q2 in zip(alg.elements, rows[q]):
+                        pred[q2].append((q, a))
         by_out = self.by_out
         # useful[a]: None for a final, else (f, q, b): reading a from state
         # q of f leads to a state with output b, and b was useful first.
@@ -605,8 +586,8 @@ def is_finite(rec: Recognizer):
     order, built by value, so its cost follows the members' total size
     (``decide_nil`` counts them instead).
     """
-    trec = trim(rec)
-    graph = _PumpingGraph(trec)
+    trec, reached = _trim(rec)
+    graph = _PumpingGraph(trec, reached)
     order, cycle = _order_or_cycle(graph.sources)
     if cycle is None:
         return Finite(graph.members(order))

@@ -35,10 +35,10 @@ from .recognizer import (
     RecognizerError,
     _order_or_cycle,
     _PumpingGraph,
+    _trim,
     complement,
     minimal_value_trees,
     syntactic_of,
-    trim,
 )
 from .trees import (
     HOLE_LEAF,
@@ -406,11 +406,11 @@ def decide_nil(rec: Recognizer) -> VarietyVerdict:
     A side whose pumping graph has an order gives a yes with its exact
     member count (``_PumpingGraph.count``), and no member is listed; if
     both have a cycle, the witnesses are ``is_finite``'s on each side.  The
-    two sides share one graph's machine walks and least trees."""
-    trec = trim(rec)
+    two sides share one graph's rows, predecessors and least trees."""
+    trec, reached = _trim(rec)
     cycles, graph = [], None
     for side, detail in ((trec, "finite with"), (complement(trec), "co-finite; complement has")):
-        graph = _PumpingGraph(side, graph)
+        graph = _PumpingGraph(side, reached, graph)
         order, cycle = _order_or_cycle(graph.sources)
         if cycle is None:
             return VarietyVerdict("Nil", True, "exact", detail=f"{detail} {graph.count(order)} members")

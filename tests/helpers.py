@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 from uta import (
     MooreMachine,
@@ -18,7 +18,8 @@ from uta import (
     op,
     trim,
 )
-from uta.horizon import MachineError
+from uta import algebra, horizon, recognizer, varieties
+from uta.horizon import MachineError, _product_reach
 from uta.trees import parse_term
 from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
@@ -172,6 +173,164 @@ def ref_word_to(m: MooreMachine, q, target) -> tuple:
     search above on a copy of the machine started at q."""
     states, words = ref_reachable_with_witnesses(replace(m, start=q))
     return words[next(p for p in states if m.out[p] == target)]
+
+
+# ---------------------------------------------------------------------------
+# The constructions that walked the machines again after one closure, kept
+# as referees: the closure found the elements only, and each machine was
+# then cut or paired by a breadth-first walk of its own.
+
+
+def walked_closure(elements, machines, seed) -> tuple:
+    """The closed elements in the order of ``elements``: each state keeps
+    how many letters it has read, and each (state, letter) step is taken
+    once."""
+    found = set(seed)
+    found.update(m.out[m.start] for m in machines)
+    letters = [a for a in elements if a in found]
+    reached = [{m.start: 0} for m in machines]  # state -> letters read
+    grown = True
+    while grown:
+        grown = False
+        for m, done in zip(machines, reached):
+            for q in list(done):
+                n = len(letters)
+                for a in letters[done[q]:n]:
+                    q2 = m.delta[q, a]
+                    if q2 not in done:
+                        done[q2] = 0
+                        grown = True
+                        if m.out[q2] not in found:
+                            found.add(m.out[q2])
+                            letters.append(m.out[q2])
+                done[q] = n
+    return tuple(a for a in elements if a in found)
+
+
+def restrict_machine(m: MooreMachine, letters) -> MooreMachine:
+    """Sub-machine over a sub-alphabet, cut down to its reachable states."""
+    letters = tuple(letters)
+    states, _ = ref_reachable_with_witnesses(m, letters)
+    delta = {(q, a): m.delta[(q, a)] for q in states for a in letters}
+    out = {q: m.out[q] for q in states}
+    return MooreMachine(states, letters, m.start, delta, out)
+
+
+def tuple_product_machine(machines, alphabet) -> MooreMachine:
+    """Synchronous product over the states reachable from the paired starts;
+    outputs are the tuples of component outputs."""
+    machines, alphabet = list(machines), tuple(alphabet)
+    states, delta, out = [], {}, {}
+    for qs, _, successors in _product_reach(machines, alphabet):
+        states.append(qs)
+        out[qs] = tuple(m.out[q] for m, q in zip(machines, qs))
+        for letter, nxt in zip(alphabet, successors):
+            delta[(qs, letter)] = nxt
+    return MooreMachine(tuple(states), alphabet, states[0], delta, out)
+
+
+def walked_subalgebra(alg: RegularAlgebra, subset) -> RegularAlgebra:
+    """Restriction to a closed subset, each machine cut by ``restrict_machine``."""
+    keep = set(subset)
+    sub = tuple(a for a in alg.elements if a in keep)
+    if walked_closure(alg.elements, list(alg.ops.values()), sub) != sub:
+        raise ValueError("subset is not closed under the operations")
+    return RegularAlgebra(sub, alg.sigma, {f: restrict_machine(alg.ops[f], sub) for f in alg.sigma})
+
+
+def walked_trim(rec: Recognizer) -> Recognizer:
+    alg = rec.algebra
+    reach = walked_closure(alg.elements, [alg.ops[f] for f in alg.sigma], set(rec.valuation.values()))
+    if reach == alg.elements:
+        return rec
+    ops = {f: restrict_machine(alg.ops[f], reach) for f in alg.sigma}
+    return Recognizer(RegularAlgebra(reach, alg.sigma, ops), rec.table, rec.valuation, rec.finals & set(reach))
+
+
+class _Lookup:
+    """A function read as a mapping: ``lookup[key]`` is ``fn(key)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
+
+
+class _SideBySide:
+    """Two machines run side by side, in the shape the closure reads."""
+
+    def __init__(self, m1: MooreMachine, m2: MooreMachine):
+        d1, d2, o1, o2 = m1.delta, m2.delta, m1.out, m2.out
+        self.start = m1.start, m2.start
+        self.delta = _Lookup(lambda k: (d1[k[0][0], k[1][0]], d2[k[0][1], k[1][1]]))
+        self.out = _Lookup(lambda q: (o1[q[0]], o2[q[1]]))
+
+
+def walked_pair_recognizer(rec1: Recognizer, rec2: Recognizer, accept) -> Recognizer:
+    alg1, alg2 = rec1.algebra, rec2.algebra
+    sigma = tuple(rec1.table.operators)
+    valuation = {x: (rec1.valuation[x], rec2.valuation[x]) for x in rec1.table.leaves}
+    pairs = [_SideBySide(alg1.ops[f], alg2.ops[f]) for f in sigma]
+    carrier = walked_closure(tuple(product(alg1.elements, alg2.elements)), pairs, valuation.values())
+    ops = {f: tuple_product_machine((alg1.ops[f], alg2.ops[f]), carrier) for f in sigma}
+    finals = {(a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)}
+    return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
+
+
+def walked_g_product(kappa: dict, algebras) -> RegularAlgebra:
+    """The product over the full cartesian carrier, for one or more factors."""
+    carrier = tuple(product(*(a.elements for a in algebras)))
+    ops = {g: tuple_product_machine([a.ops[f] for f, a in zip(fs, algebras)], carrier)
+           for g, fs in kappa.items()}
+    return RegularAlgebra(carrier, tuple(kappa), ops)
+
+
+# ---------------------------------------------------------------------------
+# Work counts: each library binding of a function counted or refused
+
+
+def counted_closures(monkeypatch):
+    """The argument tuples of every ``_closure`` call, from either module."""
+    calls = []
+    inner = algebra._closure
+
+    def count(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for mod in (algebra, recognizer):
+        monkeypatch.setattr(mod, "_closure", count)
+    return calls
+
+
+def counted_namings(monkeypatch):
+    """The start of every breadth-first pass over a closure's rows."""
+    calls = []
+    inner = algebra._breadth_first
+
+    def count(start, *args):
+        calls.append(start)
+        return inner(start, *args)
+
+    for mod in (algebra, recognizer):
+        monkeypatch.setattr(mod, "_breadth_first", count)
+    return calls
+
+
+WALKS = ("_state_walk", "_product_reach", "reachable_with_witnesses")
+
+
+def refuse_walks(monkeypatch, names=WALKS):
+    """Make each named machine walk raise, wherever the library binds it."""
+
+    def refuse(*args):
+        raise AssertionError("no machine walk")
+
+    for mod in (horizon, algebra, recognizer, varieties):
+        for name in names:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, refuse)
 
 
 # ---------------------------------------------------------------------------

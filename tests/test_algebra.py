@@ -21,7 +21,6 @@ from uta import (
     m_operator,
     parse_term,
     quotient_algebra,
-    subalgebra,
     translations,
     trivial_algebra,
     verify_algebra_gmorphism,
@@ -94,15 +93,6 @@ def test_generated_closure():
     assert generated_closure(par, ("f",), ()) == ("0",)
     assert generated_closure(par, ("f",), ("1",)) == ("0", "1")
     assert generated_closure(par, ("f",), ("0", "1")) == ("0", "1")
-
-
-def test_subalgebra():
-    par = parity_algebra()
-    sub = subalgebra(par, ("0",))
-    assert sub.elements == ("0",)
-    assert apply_symbol(sub, "f", ["0", "0"]) == "0"
-    with pytest.raises(AlgebraError):
-        subalgebra(par, ("1",))  # f() = 0 escapes
 
 
 def test_g_product():

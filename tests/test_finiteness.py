@@ -11,6 +11,7 @@ replaced it, and member lists and enumeration referee the member count."""
 import operator
 import random
 import time
+from dataclasses import replace
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -44,12 +45,13 @@ from uta import (
     union,
 )
 from uta import recognizer, varieties
-from uta.horizon import _product_reach, tuple_product_machine
+from uta.horizon import _product_reach
 from uta.recognizer import (
     _least_trees,
     _order_or_cycle,
     _pair_recognizer,
     _PumpingGraph,
+    _trim,
     minimal_value_trees,
     size_at_least_recognizer,
 )
@@ -63,14 +65,18 @@ from helpers import (
     all_trees_rec,
     bool_true,
     contains_x,
+    counted_closures,
     empty_rec,
     parity_odd,
     random_algebra,
     random_recognizer,
     random_table,
     recognizer_data,
+    refuse_walks,
     root_f,
     singleton_x3,
+    subsets,
+    tuple_product_machine,
     untrimmed_recognizer,
 )
 
@@ -249,8 +255,8 @@ def sorting_members(rec):
     """The Finite member list the value search replaced: every member built
     along the pumping graph, then deduplicated and sorted by (size,
     rendering), each rendered again; None for an infinite language."""
-    trec = trim(rec)
-    graph = _PumpingGraph(trec)
+    trec, reached = _trim(rec)
+    graph = _PumpingGraph(trec, reached)
     try:
         order = list(TopologicalSorter(graph.sources).static_order())
     except ValueError:  # a cycle: infinite
@@ -515,8 +521,13 @@ def test_least_members_past_seven_nodes_are_canonical():
 def test_least_trees_match_the_relaxation_referee():
     """Each element's (size, rendering, tree) is the relaxation rounds', on
     seeded draws, trimmed and not, and on the size counters over {f; x}
-    and {f, g; x, y}; so is min_member."""
+    and {f, g; x, y}; so is min_member, which also gives the full search's
+    least accepted tree on every fixture with every accepting set.  The
+    search that min_member stops at the first accepted element settles a
+    prefix of the full search's elements, in its order, and ends on that
+    element."""
     rng = random.Random(5008)
+    stopped_early = 0
     for i in range(1000):
         if i % 2:
             rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
@@ -526,12 +537,27 @@ def test_least_trees_match_the_relaxation_referee():
         assert least == ref_least_trees(rec)
         accepted = [least[a] for a in rec.finals if a in least]
         assert min_member(rec) == (min(accepted)[2] if accepted else None)
+        stopped = _least_trees(rec, rec.finals)
+        assert list(stopped.items()) == list(least.items())[: len(stopped)]
+        if accepted:
+            assert list(stopped)[-1] in rec.finals
+            assert stopped[list(stopped)[-1]] == min(accepted)
+        stopped_early += len(stopped) < len(least)
+    assert stopped_early > 200
     for table in COUNTER_TABLES:
         for s in COUNTER_SIZES:
             counter = size_at_least_recognizer(table, s)
             least = _least_trees(counter)
             assert least == ref_least_trees(counter)
             assert min_member(counter) == least[s][2] and size(least[s][2]) == s
+            below = complement(counter)
+            assert len(_least_trees(below, below.finals)) == 1  # 1 settles first: accepted, or the only element
+    fixtures = [make() for make in FIXTURES] + list(load_workspace(FIXTURE_FILES).recognizers.values())
+    for rec in fixtures:
+        least = _least_trees(rec)
+        for finals in subsets(rec.algebra.elements):
+            accepted = [least[a] for a in finals if a in least]
+            assert min_member(replace(rec, finals=finals)) == (min(accepted)[2] if accepted else None)
 
 
 def test_pair_products_match_the_rounds_referee():
@@ -618,7 +644,7 @@ def graphlib_cycle(sources):
 
 def member_count(lang):
     """The member count along the pumping graph; None if it has a cycle."""
-    graph = _PumpingGraph(trim(lang))
+    graph = _PumpingGraph(*_trim(lang))
     order, cycle = _order_or_cycle(graph.sources)
     return None if cycle else graph.count(order)
 
@@ -655,7 +681,7 @@ def test_depth_first_search_matches_graphlib():
     cyclic = finite = 0
     for rec in nil_draws(5010, 1000):
         for lang in (rec, complement(rec)):
-            graph = _PumpingGraph(trim(lang))
+            graph = _PumpingGraph(*_trim(lang))
             order, cycle = _order_or_cycle(graph.sources)
             want = graphlib_cycle(graph.sources)
             assert cycle == want
@@ -718,7 +744,7 @@ def test_decide_nil_matches_the_listing_reference():
 
 def test_decide_nil_lists_no_member(monkeypatch):
     """A finite or co-finite verdict builds no member, pumps nothing,
-    searches no least tree, and trims once."""
+    searches no least tree, closes once and walks no machine."""
 
     counters = [size_at_least_recognizer(t, s) for t in COUNTER_TABLES for s in (1, 4, 20, 40)]
     langs = counters + [complement(c) for c in counters]
@@ -731,17 +757,31 @@ def test_decide_nil_lists_no_member(monkeypatch):
     for owner, name in ((_PumpingGraph, "members"), (_PumpingGraph, "pump"),
                         (recognizer, "minimal_value_trees"), (varieties, "minimal_value_trees")):
         monkeypatch.setattr(owner, name, refuse)
-    trims = []
-
-    def counted(rec):
-        trims.append(rec)
-        return trim(rec)
-
-    monkeypatch.setattr(recognizer, "trim", counted)
-    monkeypatch.setattr(varieties, "trim", counted)
+    refuse_walks(monkeypatch)
+    closures = counted_closures(monkeypatch)
     for lang in langs:
-        trims.clear()
-        assert decide_nil(lang).holds and len(trims) == 1
+        closures.clear()
+        assert decide_nil(lang).holds and len(closures) == 1
+
+
+def test_is_finite_closes_once(monkeypatch):
+    """``is_finite`` trims with one closure and builds its pumping graph
+    from that closure's rows, with no ``reachable_with_witnesses``; a
+    finite verdict walks no machine at all."""
+    refuse_walks(monkeypatch, ("reachable_with_witnesses",))
+    closures = counted_closures(monkeypatch)
+    finite = infinite = 0
+    for rec in nil_draws(5014, 200):
+        closures.clear()
+        verdict = is_finite(rec)
+        assert len(closures) == 1
+        finite += isinstance(verdict, Finite)
+        infinite += isinstance(verdict, Infinite)
+    assert finite > 20 and infinite > 20
+    refuse_walks(monkeypatch)
+    for lang in (complement(size_at_least_recognizer(t, s)) for t in COUNTER_TABLES for s in (1, 4)):
+        closures.clear()
+        assert isinstance(is_finite(lang), Finite) and len(closures) == 1
 
 
 # ---------------------------------------------------------------------------

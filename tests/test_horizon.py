@@ -10,6 +10,7 @@ from uta import (
     NotACongruenceError,
     Partition,
     RegularAlgebra,
+    g_product,
     machine_disagreement,
     quotient_algebra,
     run_word,
@@ -21,7 +22,6 @@ from uta.horizon import (
     _product_reach,
     _state_walk,
     reachable_with_witnesses,
-    tuple_product_machine,
 )
 from uta.recognizer import _word_to
 
@@ -129,12 +129,13 @@ def test_machine_validation():
 
 
 def test_product_machine():
-    pairs = tuple(cartesian(("0", "1"), ("0", "1")))
-    m = tuple_product_machine([parity_machine(), parity_machine()], pairs)
+    """The synchronous product of ``g_product``: letters fed componentwise."""
+    par = RegularAlgebra(("0", "1"), ("f",), {"f": parity_machine()})
+    m = g_product({"f": ("f", "f")}, [par, par]).ops["f"]
     assert run_word(m, [("1", "1"), ("1", "0")]) == ("0", "1")
     assert run_word(m, []) == ("0", "0")
-    one = const_machine("c", ("0", "1"))
-    p = tuple_product_machine([parity_machine(), one], pairs)
+    one = RegularAlgebra(("0", "1"), ("f",), {"f": const_machine("1", ("0", "1"))})
+    p = g_product({"f": ("f", "f")}, [par, one]).ops["f"]
     for w in all_words(("0", "1"), 5):
         paired = [(a, a) for a in w]
         assert run_word(p, paired)[0] == run_word(parity_machine(), w)

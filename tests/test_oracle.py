@@ -6,21 +6,25 @@ from uta import (
     Definite,
     Partition,
     ReverseDefinite,
+    apply_symbol,
     eval_of,
     syntactic_of,
     trim,
     trivial_algebra,
 )
+from uta.algebra import AlgebraError
 from uta.oracle import (
     brute_syntactic_partition,
     brute_variety_check,
     covers_search,
     make_universe,
+    subalgebra,
 )
 
 from helpers import (
     PARITY_TABLE,
     all_trees_rec,
+    parity_algebra,
     parity_odd,
     random_recognizer,
     root_f,
@@ -77,6 +81,15 @@ def test_brute_variety_check():
         assert not ok and pair is not None
     ok, _ = brute_variety_check(all_trees_rec(), ReverseDefinite(2), uni_p)
     assert ok
+
+
+def test_subalgebra():
+    par = parity_algebra()
+    sub = subalgebra(par, ("0",))
+    assert sub.elements == ("0",)
+    assert apply_symbol(sub, "f", ["0", "0"]) == "0"
+    with pytest.raises(AlgebraError):
+        subalgebra(par, ("1",))  # f() = 0 escapes
 
 
 def test_covers_search():

@@ -7,13 +7,13 @@ search) is kept here as the referee, with the closure that repeated a full
 search per round.  On seeded and fixture recognizers both must give the same
 congruence, morphism, accepting image and quotient machines as data.
 
-``trim`` is one closure too, its machines cut by ``restrict_machine``; the
-trim through ``subalgebra``, which closed the carrier a second time as a
-check, is its referee.  The pair products close once as well.
+``trim`` is one closure too, its machines read off the closure's rows; the
+trim through a subalgebra cut by ``restrict_machine``, which closed the
+carrier a second time as a check, is its referee.  The pair products close
+once as well, and neither walks a machine after its closure.
 """
 
 import random
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,18 +29,24 @@ from uta import (
     syntactic_algebra,
     syntactic_of,
 )
-from uta import algebra, equivalent, horizon, intersect, recognizer, syntactic, trim, union
-from uta.algebra import AlgebraError, _closure, subalgebra
-from uta.horizon import reachable_with_witnesses, restrict_machine
+from uta import algebra, equivalent, intersect, oracle, recognizer, syntactic, trim, union
+from uta.algebra import AlgebraError, _closure
+from uta.horizon import _breadth_first, reachable_with_witnesses
 from uta.workspace import load_workspace
 
 from helpers import (
+    counted_closures,
+    counted_namings,
     machine_data,
     random_machine,
     random_recognizer,
     recognizer_data,
+    ref_reachable_with_witnesses,
+    refuse_walks,
+    restrict_machine,
     subsets,
     untrimmed_recognizer,
+    walked_subalgebra,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -83,7 +89,7 @@ def ref_subalgebra_trim(rec):
     reach = ref_closure(rec.algebra, rec.algebra.sigma, set(rec.valuation.values()))
     if reach == rec.algebra.elements:
         return rec
-    alg = subalgebra(rec.algebra, reach)
+    alg = walked_subalgebra(rec.algebra, reach)
     return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
 
 
@@ -216,9 +222,9 @@ def test_syntactic_of_does_nothing_twice(monkeypatch):
         raise AssertionError("syntactic_of builds no trimmed algebra")
 
     for mod, names in (
-        (algebra, ("subalgebra", "restrict_machine", "generated_closure")),
-        (horizon, ("restrict_machine",)),
-        (recognizer, ("trim", "reachable_carrier", "generated_closure")),
+        (algebra, ("generated_closure",)),
+        (oracle, ("subalgebra",)),
+        (recognizer, ("trim", "_trim", "reachable_carrier", "generated_closure")),
     ):
         for name in names:
             monkeypatch.setattr(mod, name, refuse)
@@ -246,20 +252,6 @@ def test_syntactic_of_does_nothing_twice(monkeypatch):
         assert len(calls["_refine"]) == 1 and len(calls["_closure"]) == 1
 
 
-def counted_closures(monkeypatch):
-    """The argument tuples of every ``_closure`` call, from either module."""
-    calls = []
-    inner = algebra._closure
-
-    def count(*args):
-        calls.append(args)
-        return inner(*args)
-
-    for mod in (algebra, recognizer):
-        monkeypatch.setattr(mod, "_closure", count)
-    return calls
-
-
 def test_trim_matches_the_subalgebra_referee():
     """Seeded untrimmed recognizers and the fixtures: the same recognizer
     as data, carrier order and each machine's state order included."""
@@ -277,45 +269,48 @@ def test_trim_matches_the_subalgebra_referee():
 
 
 def test_trim_closes_once(monkeypatch):
-    """One closure per trim, and no ``subalgebra`` re-check."""
+    """One closure per trim, no ``subalgebra`` re-check and no machine
+    walk: a trim that cuts reads each machine off the closure's rows in one
+    breadth-first pass, and one that cuts nothing makes no pass at all."""
 
     def refuse(*args):
         raise AssertionError("trim makes no subalgebra")
 
-    monkeypatch.setattr(algebra, "subalgebra", refuse)
-    calls = counted_closures(monkeypatch)
+    monkeypatch.setattr(oracle, "subalgebra", refuse)
+    refuse_walks(monkeypatch)
+    calls, namings = counted_closures(monkeypatch), counted_namings(monkeypatch)
     rng = random.Random(8)
     cut = 0
     for _ in range(40):
         rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
         calls.clear()
-        cut += trim(rec) is not rec
+        namings.clear()
+        trimmed = trim(rec) is not rec
+        cut += trimmed
         assert len(calls) == 1
-    assert cut
+        starts = [rec.algebra.ops[f].start for f in rec.algebra.sigma]
+        assert namings == (starts if trimmed else [])
+    assert 0 < cut < 40
 
 
 def test_pair_products_close_once(monkeypatch):
-    """One closure per intersection, union and equivalence; the pair
-    search runs only inside ``tuple_product_machine``."""
+    """One closure per intersection, union and equivalence, each machine
+    read off its rows in one breadth-first pass, and no pair search: no
+    ``_product_reach`` and no other machine walk."""
     assert "_product_reach" not in vars(recognizer)
-    calls, searches = counted_closures(monkeypatch), []
-    inner = horizon._product_reach
-
-    def search(*args):
-        searches.append(sys._getframe(1).f_code.co_name)
-        return inner(*args)
-
-    monkeypatch.setattr(horizon, "_product_reach", search)
+    refuse_walks(monkeypatch)
+    calls, namings = counted_closures(monkeypatch), counted_namings(monkeypatch)
     rng = random.Random(9)
     for _ in range(40):
         rec = untrimmed_recognizer(rng, rng.randint(1, 6), 4)
         other = untrimmed_recognizer(rng, rng.randint(1, 6), 4, rec.table)
         for combine in (intersect, union, equivalent):
             calls.clear()
-            searches.clear()
+            namings.clear()
             combine(rec, other)
             assert len(calls) == 1
-            assert set(searches) == {"tuple_product_machine"}
+            starts = [(rec.algebra.ops[f].start, other.algebra.ops[f].start) for f in rec.table.operators]
+            assert namings == starts
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +318,11 @@ def test_pair_products_close_once(monkeypatch):
 
 
 def test_closure_matches_the_full_search():
+    """The closed elements are the rounds' referee's.  Each machine's states
+    are those a search over the closed elements reaches, its start first;
+    each state's row holds the successor of every closed element.  The
+    breadth-first pass over the rows gives the search's states and words,
+    in its order."""
     rng = random.Random(31)
     sigma = ("f", "g", "h")
     for _ in range(600):
@@ -333,12 +333,17 @@ def test_closure_matches_the_full_search():
         omega = tuple(f for f in sigma if rng.random() < 0.6) or ("g",)
         seed = frozenset(a for a in elements if rng.random() < 0.3)
         for s in (seed, ()):
-            closed, reached = _closure(elements, [alg.ops[f] for f in omega], s)
+            machines = [alg.ops[f] for f in omega]
+            closed, reached = _closure(elements, machines, s)
             assert closed == generated_closure(alg, omega, s) == ref_closure(alg, omega, s)
-            for f, states in zip(omega, reached):
-                want = reachable_with_witnesses(alg.ops[f], closed)[0]
-                assert states[0] == alg.ops[f].start
-                assert len(states) == len(set(states)) and set(states) == set(want)
+            assert len(reached) == len(machines)
+            for m, rows in zip(machines, reached):
+                want_states, want_words = ref_reachable_with_witnesses(m, closed)
+                assert next(iter(rows)) == m.start and set(rows) == set(want_states)
+                for q, row in rows.items():
+                    assert list(row) == [m.delta[q, a] for a in closed]
+                words = _breadth_first(m.start, rows.__getitem__, closed)
+                assert list(words.items()) == list(want_words.items())
         assert generated_closure(alg, None, seed) == ref_closure(alg, sigma, seed)
 
 

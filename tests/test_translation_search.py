@@ -14,14 +14,18 @@ from uta import (
     root_segment,
     syntactic_of,
     translation_walk,
+    trim,
 )
-from uta import algebra, recognizer, varieties
+from uta import algebra, recognizer
 from uta.algebra import elementary_translations
 from uta.workspace import load_workspace
 
 from helpers import (
+    counted_closures,
+    counted_namings,
     monoid_elementary_translations,
     monoid_translation_walk,
+    refuse_walks,
     untrimmed_recognizer,
 )
 from test_finiteness import FIXTURE_FILES, nil_draws
@@ -95,36 +99,28 @@ def test_ap_no_draws_no_elementary_map_past_the_refuting_one(monkeypatch):
 
 
 def test_decide_nil_walks_each_machine_once(monkeypatch):
-    """The language's side and the complement's share one graph's machine
-    walks and least trees: each machine of the trimmed algebra is walked
-    once, and the least-tree search runs at most once."""
-    walked, searches, trims = [], [], []
-    walk, least, trim = recognizer.reachable_with_witnesses, recognizer._least_trees, varieties.trim
-
-    def counted_walk(m, *args):
-        walked.append(m)
-        return walk(m, *args)
+    """The language's side and the complement's share one graph, read off
+    the rows of the trim's one closure: each machine of the trimmed algebra
+    gets one breadth-first pass over its rows (and one more, from the trim,
+    when the trim cuts), ``reachable_with_witnesses`` walks nothing, and the
+    least-tree search runs at most once."""
+    searches, least = [], recognizer._least_trees
 
     def counted_least(rec):
         searches.append(rec)
         return least(rec)
 
-    def kept_trim(rec):
-        trims.append(trim(rec))
-        return trims[-1]
-
-    monkeypatch.setattr(recognizer, "reachable_with_witnesses", counted_walk)
+    refuse_walks(monkeypatch, ("reachable_with_witnesses",))
+    closures, namings = counted_closures(monkeypatch), counted_namings(monkeypatch)
     monkeypatch.setattr(recognizer, "_least_trees", counted_least)
-    monkeypatch.setattr(varieties, "trim", kept_trim)
     fixtures = list(load_workspace(FIXTURE_FILES).recognizers.values())
     both = 0
     for rec in nil_draws(5013, 300) + fixtures:
-        walked.clear(), searches.clear(), trims.clear()
+        cut = trim(rec) is not rec
+        closures.clear(), namings.clear(), searches.clear()
         verdict = decide_nil(rec)
-        (trec,) = trims
-        ops = trec.algebra.ops
-        assert sum(any(m is ops[f] for m in walked) for f in ops) == len(ops)
-        assert sum(any(m is n for n in ops.values()) for m in walked) == len(ops)
+        assert len(closures) == 1
+        assert namings == [rec.algebra.ops[f].start for f in rec.algebra.sigma] * (1 + cut)
         assert len(searches) <= 1
         both += not verdict.holds
     assert both > 50
