@@ -175,9 +175,11 @@ def _closure(elements, machines, seed) -> tuple:
     return closed, reached
 
 
-def _row_machine(m, rows: dict, letters) -> MooreMachine:
-    """m over a closure's letters, cut to its states there, named in breadth-first order."""
-    order = _breadth_first(m.start, rows.__getitem__, letters)
+def _row_machine(m, rows: dict, letters, order=None) -> MooreMachine:
+    """m over a closure's letters, cut to its states there, named in breadth-first
+    order (``order``, when the caller has made that naming already)."""
+    if order is None:
+        order = _breadth_first(m.start, rows.__getitem__, letters)
     delta = {(q, a): q2 for q in order for a, q2 in zip(letters, rows[q])}
     return MooreMachine(tuple(order), letters, m.start, delta, {q: m.out[q] for q in order})
 
@@ -336,7 +338,9 @@ def _refine(alg: RegularAlgebra, key, seed):
     of them from the whole carrier).  States are numbered once, each with
     its row read off the closure's as successor numbers, one column per
     element; rounds work on int lists.  Returns theta and ``(columns, state
-    classes, rows, outputs, starts)`` for ``_quotient``.
+    classes, rows, outputs, starts, blocks)`` for ``_quotient`` and
+    ``varieties.saturation_probe``, ``blocks[j]`` being the index of column
+    j's block in theta.
     """
     elements, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], seed)
     col = {a: j for j, a in enumerate(elements)}
@@ -363,8 +367,10 @@ def _refine(alg: RegularAlgebra, key, seed):
             for c, classes in zip(elem, column_classes)
         ]
         if len(ids) == count:
-            theta = Partition.from_key(elements, dict(zip(elements, elem)).__getitem__)
-            return theta, (col, state, rows, outs, starts)
+            first: dict = {}  # theta's blocks are in the order of their first columns
+            blocks = [first.setdefault(c, len(first)) for c in elem]
+            theta = Partition.from_key(elements, dict(zip(elements, blocks)).__getitem__)
+            return theta, (col, state, rows, outs, starts, blocks)
         elem, state, count = new_elem, new_state, len(ids)
 
 
@@ -379,7 +385,7 @@ def _quotient(alg: RegularAlgebra, theta: Partition, table) -> RegularAlgebra:
     is named once, and states are named q0, q1, ... in the breadth-first
     order (over class rows) that first meets each class.
     """
-    col, state, rows, outs, starts = table
+    col, state, rows, outs, starts, _blocks = table  # theta's universe may order its blocks otherwise
     firsts = [col[b[0]] for b in theta.blocks]
     letters = tuple(theta.class_name(b[0]) for b in theta.blocks)
     block = [theta.class_index(a) for a in col]

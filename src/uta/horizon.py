@@ -42,10 +42,13 @@ class MooreMachine:
                 raise MachineError(f"transition from unknown ({q!r}, {a!r})")
             if q2 not in qs:
                 raise MachineError(f"transition into unknown state {q2!r}")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise MachineError(f"incomplete machine: no transition ({q!r}, {a!r})")
+        # every key lies in states x letters, so a full count means complete;
+        # a short one is reported at its first missing pair
+        if len(self.delta) != len(qs) * len(al):
+            for q in self.states:
+                for a in self.alphabet:
+                    if (q, a) not in self.delta:
+                        raise MachineError(f"incomplete machine: no transition ({q!r}, {a!r})")
         if set(self.out) != qs:
             missing = qs - set(self.out)
             if missing:

@@ -172,14 +172,16 @@ def reachable_carrier(rec: Recognizer) -> tuple:
 
 
 def _trim(rec: Recognizer) -> tuple:
-    """``trim``, and the rows its closure gives each machine's reached states."""
+    """``trim``, the rows its closure gives each machine's reached states,
+    and each machine's breadth-first naming over them if it cut (else None)."""
     alg = rec.algebra
     reach, reached = _closure(alg.elements, [alg.ops[f] for f in alg.sigma], rec.valuation.values())
-    if reach != alg.elements:
-        ops = {f: _row_machine(alg.ops[f], rows, reach) for f, rows in zip(alg.sigma, reached)}
-        alg = RegularAlgebra(reach, alg.sigma, ops)
-        rec = Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach))
-    return rec, reached
+    if reach == alg.elements:
+        return rec, reached, None
+    named = [_breadth_first(alg.ops[f].start, rows.__getitem__, reach) for f, rows in zip(alg.sigma, reached)]
+    ops = {f: _row_machine(alg.ops[f], rows, reach, words) for f, rows, words in zip(alg.sigma, reached, named)}
+    alg = RegularAlgebra(reach, alg.sigma, ops)
+    return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach)), reached, named
 
 
 def trim(rec: Recognizer) -> Recognizer:
@@ -435,20 +437,21 @@ class _PumpingGraph:
     alone pumps the arity of an f-node, a cycle through an element pumps
     the height; without a cycle every member has bounded height and arity.
     States, witness words and predecessors are read off ``reached``, the
-    rows of the closure that trimmed it (``_trim``), or lent by ``base``, a
-    graph over the same algebra and valuation, with its least trees.
+    rows of the closure that trimmed it (``_trim``), with the namings the
+    trim made when it cut (``named``), or lent by ``base``, a graph over the
+    same algebra and valuation, with its least trees.
     """
 
-    def __init__(self, trec: Recognizer, reached, base: "_PumpingGraph | None" = None):
+    def __init__(self, trec: Recognizer, reached, named=None, base: "_PumpingGraph | None" = None):
         alg = self.alg = trec.algebra
         self.rec = trec
         if base is not None:
             self.words, self.pred, self.by_out, self.least = base.words, base.pred, base.by_out, base.least
         else:
             self.words, self.pred, self.by_out, self.least = {}, {}, {}, {}
-            for f, rows in zip(alg.sigma, reached):
+            for i, (f, rows) in enumerate(zip(alg.sigma, reached)):
                 m = alg.ops[f]
-                states = self.words[f] = _breadth_first(m.start, rows.__getitem__, alg.elements)
+                states = self.words[f] = named[i] if named else _breadth_first(m.start, rows.__getitem__, alg.elements)
                 pred = self.pred[f] = {q: [] for q in states}
                 outs = self.by_out[f] = {}
                 for q in states:
@@ -586,8 +589,8 @@ def is_finite(rec: Recognizer):
     order, built by value, so its cost follows the members' total size
     (``decide_nil`` counts them instead).
     """
-    trec, reached = _trim(rec)
-    graph = _PumpingGraph(trec, reached)
+    trec, reached, named = _trim(rec)
+    graph = _PumpingGraph(trec, reached, named)
     order, cycle = _order_or_cycle(graph.sources)
     if cycle is None:
         return Finite(graph.members(order))

@@ -736,6 +736,7 @@ class TreeBank:
     ``trees`` and ``contexts`` enumerate lazily: the bucket of one size is
     built only once the bucket before it has been consumed, its renderings
     are made from the children's, and it is interned in rendering order.
+    Each bucket gets consecutive ids, which ``tree_ids`` reads.
     A bank that only enumerates trees numbers them 0, 1, 2, ... in
     (size, rendering) order, children before parents.
     """
@@ -757,6 +758,11 @@ class TreeBank:
         """Ids of all trees with at most max_size nodes, in enumeration order."""
         for s in range(1, max_size + 1):
             yield from self._tree_bucket(s)
+
+    def tree_ids(self, size: int) -> list:
+        """The consecutive ids of the trees of exactly size nodes, as the bank's
+        own list (not to be changed), whose ints ``index`` and ``kids`` share."""
+        return self._tree_bucket(size)
 
     def contexts(self, max_size: int):
         """Ids of all contexts (exactly one hole) within max_size nodes."""

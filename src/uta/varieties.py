@@ -21,13 +21,12 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import RegularAlgebra, Translation, translation_walk
+from .algebra import RegularAlgebra, Translation, _refine, translation_walk
 from .horizon import (
     MooreMachine,
     _product_reach,
     _state_walk,
     reachable_with_witnesses,
-    state_records,
 )
 from .partition import element_label
 from .recognizer import (
@@ -407,10 +406,10 @@ def decide_nil(rec: Recognizer) -> VarietyVerdict:
     member count (``_PumpingGraph.count``), and no member is listed; if
     both have a cycle, the witnesses are ``is_finite``'s on each side.  The
     two sides share one graph's rows, predecessors and least trees."""
-    trec, reached = _trim(rec)
+    trec, reached, named = _trim(rec)
     cycles, graph = [], None
     for side, detail in ((trec, "finite with"), (complement(trec), "co-finite; complement has")):
-        graph = _PumpingGraph(side, reached, graph)
+        graph = _PumpingGraph(side, reached, named, graph)
         order, cycle = _order_or_cycle(graph.sources)
         if cycle is None:
             return VarietyVerdict("Nil", True, "exact", detail=f"{detail} {graph.count(order)} members")
@@ -478,6 +477,7 @@ def nilpotent_recognizer_for_finite(member_trees, table: SymbolTable) -> Recogni
 
 
 DEFAULT_PROBE_BOUNDS = (7, 3)
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 14  # trees a probe works on between two checks
 _PROBE_BANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -505,50 +505,70 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
     the bounds and is reported as such.  Bounds holding no tree raise
     ``ValueError``.
 
-    Trees are enumerated lazily in (size, rendering) order and worked on
-    bottom-up by id: a tree's machine state is one transition from its
-    prefix's (``TreeBank.prefix``) on its last child's value, and its value
-    is that state's output.  The sweep stops at the first conflict, so a
-    refutation costs only the trees up to that one; a yes enumerates the
-    whole bound.  The counterexample pairs the first tree of the key group
-    with the tree that broke it.
+    The syntactic values are the classes of the syntactic congruence, read
+    off one refinement (``algebra._refine``); no quotient is built.  Each
+    tree gets one int code: the state of its label's machine after reading
+    its children, numbered as in the refinement's rows, or one code per
+    leaf.  Trees are enumerated lazily in (size, rendering) order, each
+    size bucket a range of ids (``TreeBank.tree_ids``), and a tree's code is
+    one lookup in a step table indexed by the codes of its prefix
+    (``TreeBank.prefix``) and of its last child.  Its syntactic value is
+    the class of its code's output, compared with that of the first tree
+    of its key group.  The buckets are worked on in chunks whose size
+    doubles from ``_FIRST_CHUNK`` trees up to ``_MAX_CHUNK``, each checked
+    before the next, so the sweep stops soon after the first conflict and
+    a refutation costs about the trees up to that one; a yes enumerates
+    the whole bound.  The counterexample pairs the first tree of the key
+    group with the first tree that broke it.
 
     The key groups depend on the table, not the language, so the bank and
     each kind's first-of-group ids are shared across calls for as long as
     the table lives (``_probe_bank``).  Over trees an earlier call reached,
-    a probe costs one transition per tree.  Past them its key parts are
-    unions and lookups over the children's parts, built for this call
-    only.  A finished probe drops the bank's last-bucket renderings (about
-    three quarters of its trees); a larger bound makes them again.
+    a probe costs one lookup per tree.  Past them its key parts are unions
+    and lookups over the children's parts, built for this call only.  A
+    finished probe drops the bank's last-bucket renderings (about three
+    quarters of its trees); a larger bound makes them again.
     """
     check_bounds(*bounds)
     name = kind_name(kind)
-    _res, srec = syntactic_of(rec)
+    alg = rec.algebra
+    _theta, (col, _states, rows, outs, starts, blocks) = _refine(alg, rec.finals.__contains__, rec.valuation.values())
+    # codes: the machines' states, then one per leaf; value[c] is the column
+    # of code c's value, which every row reads
+    value = outs + [col[rec.valuation[x]] for x in rec.table.leaves]
+    step = [list(map(row.__getitem__, value)) for row in rows]
+    cls = list(map(blocks.__getitem__, value))
+    atoms = dict(zip(alg.sigma, starts))
+    atoms.update(zip(rec.table.leaves, range(len(rows), len(value))))
     bank, firsts_of = _probe_bank(rec.table, bounds[1])
     firsts = firsts_of.get(kind, [])
     keys = groups = None
-    # Outputs and leaf values lie in the carrier, which every machine reads
-    # whole (``RegularAlgebra`` and ``Recognizer`` check both): no row misses.
-    atoms = {f: state_records(m)[m.start] for f, m in srec.algebra.ops.items()}
-    atoms.update((x, (None, v)) for x, v in srec.valuation.items())
     labels, kids, prefix = bank.label, bank.kids, bank.prefix
-    states, counterexample = [], None
-    for i in bank.trees(bounds[0]):
-        if i < len(firsts):
-            first = firsts[i]
-        else:
-            if keys is None:
-                keys, groups = KeyParts(bank, kind), {}
-                for j in range(i):
-                    groups.setdefault(keys.add(j), j)
-                firsts = firsts_of.setdefault(kind, firsts)
-            first = groups.setdefault(keys.add(i), i)
-            firsts.append(first)
-        ks = kids[i]
-        state = states[prefix[i]][0][states[ks[-1]][1]] if ks else atoms[labels[i]]
-        states.append(state)
-        if states[first][1] != state[1]:
-            counterexample = (bank.tree(first), bank.tree(i))
+    codes, counterexample, width = [], None, _FIRST_CHUNK
+    for size in range(1, bounds[0] + 1):
+        bucket, n = bank.tree_ids(size), 0  # ids 0, 1, ... by size: codes[i] is tree i's
+        while n < len(bucket):
+            chunk = bucket[n:n + width]
+            lo, hi = chunk[0], chunk[-1] + 1
+            n, width = n + len(chunk), min(2 * width, _MAX_CHUNK)
+            if hi > len(firsts):
+                if keys is None:
+                    keys, groups = KeyParts(bank, kind), {}
+                    for j in range(len(firsts)):
+                        groups.setdefault(keys.add(j), j)
+                    firsts = firsts_of.setdefault(kind, firsts)
+                # the bank's own ints: a first-of-group id kept costs no memory
+                firsts += [groups.setdefault(keys.add(j), j) for j in chunk[len(firsts) - lo:]]
+            if size == 1:
+                codes += map(atoms.__getitem__, labels[lo:hi])
+            else:
+                codes += [step[codes[p]][codes[ks[-1]]] for p, ks in zip(prefix[lo:hi], kids[lo:hi])]
+            # the chunk's codes whose class is not their key group's first's
+            if [c for c, j in zip(codes[lo:hi], firsts[lo:hi]) if cls[c] != cls[codes[j]]]:
+                i = next(i for i in range(lo, hi) if cls[codes[i]] != cls[codes[firsts[i]]])
+                counterexample = (bank.tree(firsts[i]), bank.tree(i))
+                break
+        if counterexample is not None:
             break
     bank.drop_last_texts()
     return VarietyVerdict(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations, product
@@ -16,11 +17,13 @@ from uta import (
     Translation,
     leaf,
     op,
+    syntactic_of,
     trim,
 )
 from uta import algebra, horizon, recognizer, varieties
-from uta.horizon import MachineError, _product_reach
-from uta.trees import parse_term
+from uta.horizon import MachineError, _product_reach, state_records
+from uta.trees import KeyParts, TreeBank, check_bounds, parse_term
+from uta.varieties import VarietyVerdict, kind_name
 from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
 
@@ -473,6 +476,62 @@ def random_gmorphism(rng: random.Random, src=None, dst=None) -> TermGMorphism:
     iota = {f: rng.choice(dst.operators) for f in src.operators}
     alpha = {x: random_tree(rng, dst, rng.randint(1, 4)) for x in src.leaves}
     return TermGMorphism(src, dst, iota, alpha)
+
+
+# ---------------------------------------------------------------------------
+# The saturation probe as it ran on the syntactic recognizer, kept as the
+# referee: each tree kept its label's quotient-machine state as a (row,
+# output) record.  It keeps banks and key groups of its own.
+
+
+_REF_PROBE_BANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def ref_saturation_probe(rec: Recognizer, kind, bounds=(7, 3), srec=None) -> VarietyVerdict:
+    """Stops at the first tree whose syntactic value differs from its key
+    group's first tree's; a tree's state is one transition of the syntactic
+    machine from its prefix's, on its last child's value.  ``srec``, when
+    given, is ``syntactic_of(rec)[1]``, made once for several calls."""
+    check_bounds(*bounds)
+    name = kind_name(kind)
+    srec = syntactic_of(rec)[1] if srec is None else srec
+    banks = _REF_PROBE_BANKS.setdefault(rec.table, {})
+    if bounds[1] not in banks:
+        banks[bounds[1]] = TreeBank(rec.table, bounds[1]), {}
+    bank, firsts_of = banks[bounds[1]]
+    firsts = firsts_of.get(kind, [])
+    keys = groups = None
+    atoms = {f: state_records(m)[m.start] for f, m in srec.algebra.ops.items()}
+    atoms.update((x, (None, v)) for x, v in srec.valuation.items())
+    labels, kids, prefix = bank.label, bank.kids, bank.prefix
+    states, counterexample = [], None
+    for i in bank.trees(bounds[0]):
+        if i < len(firsts):
+            first = firsts[i]
+        else:
+            if keys is None:
+                keys, groups = KeyParts(bank, kind), {}
+                for j in range(i):
+                    groups.setdefault(keys.add(j), j)
+                firsts = firsts_of.setdefault(kind, firsts)
+            first = groups.setdefault(keys.add(i), i)
+            firsts.append(first)
+        ks = kids[i]
+        state = states[prefix[i]][0][states[ks[-1]][1]] if ks else atoms[labels[i]]
+        states.append(state)
+        if states[first][1] != state[1]:
+            counterexample = (bank.tree(first), bank.tree(i))
+            break
+    bank.drop_last_texts()
+    return VarietyVerdict(
+        name,
+        counterexample is None,
+        "bounded" if counterexample is None else "refutation",
+        bounds=tuple(bounds),
+        counterexample=counterexample,
+        parameter=getattr(kind, "k", None),
+        low_parameter=getattr(kind, "h", None),
+    )
 
 
 # ---------------------------------------------------------------------------

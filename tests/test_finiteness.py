@@ -255,8 +255,8 @@ def sorting_members(rec):
     """The Finite member list the value search replaced: every member built
     along the pumping graph, then deduplicated and sorted by (size,
     rendering), each rendered again; None for an infinite language."""
-    trec, reached = _trim(rec)
-    graph = _PumpingGraph(trec, reached)
+    trec, reached, named = _trim(rec)
+    graph = _PumpingGraph(trec, reached, named)
     try:
         order = list(TopologicalSorter(graph.sources).static_order())
     except ValueError:  # a cycle: infinite

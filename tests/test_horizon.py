@@ -128,6 +128,27 @@ def test_machine_validation():
         MooreMachine(("a",), ("0",), "a", {("a", "0"): "a"}, {})
 
 
+def test_machine_validation_messages():
+    """Each fault is reported as it was when every (state, letter) pair was
+    looked up: a short transition count names its first missing pair, in
+    state and then letter order, and a key outside states x letters is
+    reported before any count."""
+    full = {(q, a): "b" for q in "ab" for a in "01"}
+    out = {"a": "0", "b": "1"}
+    cases = [
+        ({k: v for k, v in full.items() if k != ("b", "0")}, "incomplete machine: no transition ('b', '0')"),
+        ({k: v for k, v in full.items() if k[1] != "1"}, "incomplete machine: no transition ('a', '1')"),
+        ({**full, ("c", "0"): "a"}, "transition from unknown ('c', '0')"),
+        ({**{k: v for k, v in full.items() if k != ("a", "0")}, ("a", "2"): "a"}, "transition from unknown ('a', '2')"),
+        ({**full, ("a", "0"): "c"}, "transition into unknown state 'c'"),
+    ]
+    for delta, message in cases:
+        with pytest.raises(MachineError) as err:
+            MooreMachine(("a", "b"), ("0", "1"), "a", delta, out)
+        assert str(err.value) == message
+    assert MooreMachine(("a", "b"), ("0", "1"), "a", full, out).delta == full
+
+
 def test_product_machine():
     """The synchronous product of ``g_product``: letters fed componentwise."""
     par = RegularAlgebra(("0", "1"), ("f",), {"f": parity_machine()})

@@ -276,6 +276,23 @@ def test_tree_bank_ids_follow_the_enumeration():
     assert all(_id_of(bank, t) == i for i, t in enumerate(trees))
 
 
+def test_tree_ids_read_each_bucket_as_a_range():
+    """A bucket's ids are one range of consecutive ids, also in a bank that
+    holds contexts between its tree buckets; an empty bucket has none."""
+    bank = TreeBank(TAB, 3)
+    sizes = [size(bank.tree(i)) for i in bank.trees(4)]
+    for s in range(1, 5):
+        assert bank.tree_ids(s) == [i for i, n in enumerate(sizes) if n == s]
+    mixed = TreeBank(TAB, 2)
+    list(mixed.contexts(3))
+    for s in range(1, 5):
+        ids = mixed.tree_ids(s)
+        assert ids == list(range(ids[0], ids[0] + len(ids)))
+        assert [mixed.text[i] for i in ids] == [render(t) for t in enumerate_trees(TAB, s, 2) if size(t) == s]
+    flat = TreeBank(SymbolTable(("f",), ("x",)), 0)  # no node has a child
+    assert flat.tree_ids(1) == [0, 1] and flat.tree_ids(3) == []
+
+
 def test_tree_bank_rebuilds_trees_without_recursion():
     bank = TreeBank(TAB, 3)
     assert [bank.tree(i) for i in bank.trees(5)] == list(enumerate_trees(TAB, 5, 3))
