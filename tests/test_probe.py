@@ -26,7 +26,7 @@ from uta.workspace import load_workspace
 
 from helpers import ref_saturation_probe, untrimmed_recognizer
 
-FIXTURES = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 KINDS = (ReverseDefinite(2), GenDefinite(1, 2), LocTestable(2), PwTestable(2))
 BOUNDS = ((3, 2), (4, 3), (5, 3))
 
@@ -114,7 +114,7 @@ def test_probe_refines_once_and_builds_no_quotient(monkeypatch):
     monkeypatch.setattr(horizon.MooreMachine, "__post_init__", init)
     for mod, name in ((algebra, "_quotient"), (recognizer, "syntactic_of"), (varieties, "syntactic_of")):
         monkeypatch.setattr(mod, name, refuse)
-    ws = load_workspace([str(FIXTURES / "fixtures" / "bool.uta"), str(FIXTURES / "tests" / "workspaces" / "untrimmed.uta")])
+    ws = load_workspace([str(ROOT / "fixtures" / "bool.uta"), str(ROOT / "tests" / "workspaces" / "untrimmed.uta")])
     for rec in ws.recognizers.values():
         for kind in KINDS:
             refines.clear(), machines.clear()
