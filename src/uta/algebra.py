@@ -10,7 +10,7 @@ them, and the tabulated monoid that walk collects.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
@@ -19,7 +19,6 @@ from .horizon import (
     MachineError,
     MooreMachine,
     _breadth_first,
-    _product_reach,
     _state_walk,
     machine_disagreement,
     reachable_with_witnesses,
@@ -277,7 +276,7 @@ def _related_pairs(elements, theta: Partition):
 def _pair_violation(mf: MooreMachine, mg: MooreMachine, letter_pairs, theta: Partition):
     """Search the two machines run over related letter pairs for a reachable
     output pair that is not theta-related; returns the witness word pair."""
-    for (q1, q2), word, _ in _product_reach((mf, mg), letter_pairs):
+    for (q1, q2), word in _state_walk((mf, mg), (mf.start, mg.start), {}, letter_pairs):
         if not theta.related(mf.out[q1], mg.out[q2]):
             return tuple(a for a, _ in word), tuple(b for _, b in word)
     return None
@@ -369,41 +368,65 @@ def _refine(alg: RegularAlgebra, key, seed):
         if len(ids) == count:
             first: dict = {}  # theta's blocks are in the order of their first columns
             blocks = [first.setdefault(c, len(first)) for c in elem]
-            theta = Partition.from_key(elements, dict(zip(elements, blocks)).__getitem__)
+            members: list = [[] for _ in first]
+            for a, b in zip(elements, blocks):
+                members[b].append(a)
+            theta = Partition._canonical(elements, tuple(map(tuple, members)))
             return theta, (col, state, rows, outs, starts, blocks)
         elem, state, count = new_elem, new_state, len(ids)
 
 
-def _quotient(alg: RegularAlgebra, theta: Partition, table) -> RegularAlgebra:
-    """The quotient by a congruence, read off the rows and state classes
-    ``_refine`` returned with it.
+class _ClassMachine:
+    """A machine over class letters 0, 1, ... (``_class_algebra``): states
+    0, 1, ... from the start 0, ``rows[q][a] == columns[a][q]`` the state
+    letter a leads q to, and ``out[q]`` the class of q's output."""
+
+    start = 0
+
+    def __init__(self, rows: list, out: list):
+        self.rows, self.out, self.columns, self.alphabet = rows, out, list(zip(*rows)), range(len(rows[0]))
+
+
+_ClassAlgebra = namedtuple("_ClassAlgebra", "elements sigma ops")  # elements: the classes 0, 1, ...
+
+
+def _class_algebra(alg: RegularAlgebra, theta: Partition, table) -> _ClassAlgebra:
+    """The quotient by a congruence as int machines over its class letters,
+    read off the rows and state classes ``_refine`` returned with it.
 
     At the fixpoint the state classes are the Moore equivalence of each
     machine with outputs mapped to carrier classes, so each class is one
-    state of the minimal machine over class letters.  A class letter is
-    read through the column of the first element of its block, each class
-    is named once, and states are named q0, q1, ... in the breadth-first
-    order (over class rows) that first meets each class.
+    state of the minimal machine over class letters.  Class letter i is
+    theta's block i, read through the column of its first element, and
+    each machine numbers its classes in the breadth-first order (over
+    class letters) that first meets them.  ``_quotient`` names them; the
+    exact deciders read them as they are.
     """
     col, state, rows, outs, starts, _blocks = table  # theta's universe may order its blocks otherwise
     firsts = [col[b[0]] for b in theta.blocks]
-    letters = tuple(theta.class_name(b[0]) for b in theta.blocks)
-    block = [theta.class_index(a) for a in col]
+    block = {col[a]: i for i, b in enumerate(theta.blocks) for a in b}  # column -> class
     ops = {}
     for f, start in zip(alg.sigma, starts):
-        order, qname = [start], {state[start]: "q0"}
+        order, num = [start], {state[start]: 0}
         for s in order:  # grows as classes are met
             for j in firsts:
-                if state[rows[s][j]] not in qname:
-                    qname[state[rows[s][j]]] = f"q{len(qname)}"
+                if state[rows[s][j]] not in num:
+                    num[state[rows[s][j]]] = len(num)
                     order.append(rows[s][j])
-        delta = {
-            (qname[state[s]], a): qname[state[rows[s][j]]]
-            for s in order
-            for a, j in zip(letters, firsts)
-        }
-        out = {qname[state[s]]: letters[block[outs[s]]] for s in order}
-        ops[f] = MooreMachine(tuple(qname.values()), letters, "q0", delta, out)
+        ops[f] = _ClassMachine([[num[state[rows[s][j]]] for j in firsts] for s in order], [block[outs[s]] for s in order])
+    return _ClassAlgebra(tuple(range(len(firsts))), alg.sigma, ops)
+
+
+def _quotient(alg: RegularAlgebra, theta: Partition, table) -> RegularAlgebra:
+    """The quotient by a congruence: the machines of ``_class_algebra``, class
+    letter i named by theta's block i and state n named qn."""
+    letters = tuple(theta.class_name(b[0]) for b in theta.blocks)
+    ops = {}
+    for f, m in _class_algebra(alg, theta, table).ops.items():
+        names = [f"q{n}" for n in range(len(m.rows))]
+        delta = {(q, a): names[n] for q, row in zip(names, m.rows) for a, n in zip(letters, row)}
+        out = {q: letters[o] for q, o in zip(names, m.out)}
+        ops[f] = MooreMachine(tuple(names), letters, "q0", delta, out)
     return RegularAlgebra(letters, alg.sigma, ops)
 
 
@@ -499,8 +522,8 @@ def verify_algebra_gmorphism(
             raise AlgebraError(f"phi({element_label(a)}) outside the target carrier")
     for f in src.sigma:
         m1, m2 = src.ops[f], dst.ops[iota[f]]
-        letters = tuple((a, phi[a]) for a in m1.alphabet)
-        for (q1, q2), word, _ in _product_reach((m1, m2), letters):
+        letters = [(a, phi[a]) for a in m1.alphabet]
+        for (q1, q2), word in _state_walk((m1, m2), (m1.start, m2.start), {}, letters):
             if phi[m1.out[q1]] != m2.out[q2]:
                 return False, (f, tuple(a for a, _ in word))
     return True, None
@@ -567,11 +590,11 @@ def elementary_translations(alg: RegularAlgebra, f: str):
     shortlex-least word, so a map keeps its least (q, v), and maps come in
     that order.  No transition monoid is listed."""
     m = alg.ops[f]
-    delta, out = m.delta, m.out
+    cols, out = m.columns, m.out
     states, witness = reachable_with_witnesses(m)
     found, searched = set(), {}
     for q in states:
-        row = [delta[q, a] for a in alg.elements]
+        row = [cols[a][q] for a in alg.elements]
         start = tuple(dict.fromkeys(row))  # the distinct states, searched as one tuple
         spread = tuple([start.index(p) for p in row])
         # a tuple an earlier search met, with this spread, gives no new map

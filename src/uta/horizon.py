@@ -7,8 +7,9 @@ of the state it ends in.  Every machine is total by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import getitem, itemgetter
 
 
 class MachineError(ValueError):
@@ -55,6 +56,14 @@ class MooreMachine:
                 raise MachineError(f"no output for state {sorted(map(repr, missing))[0]}")
             raise MachineError("output map mentions unknown states")
 
+    @cached_property
+    def columns(self) -> dict:
+        """Each letter's column: the state it leads each state to."""
+        cols: dict = {a: {} for a in self.alphabet}
+        for (q, a), q2 in self.delta.items():
+            cols[a][q] = q2
+        return cols
+
 
 def run_word(m: MooreMachine, word) -> object:
     """Output after reading the word from the start state; empty word allowed."""
@@ -75,26 +84,35 @@ def state_records(m: MooreMachine) -> dict:
     return records
 
 
-def _state_walk(m: MooreMachine, start: tuple, words: dict, letters=None):
-    """Breadth-first walk over tuples of m's states from the tuple start,
-    every entry reading the same letter (the given letters, default all,
-    in order).  Yields ``(states, word)`` for each tuple, its word the
-    shortest that leads there (ties broken by letter order), before
-    walking on from it.  ``words`` maps each tuple met to its word; a
+def _state_walk(machines, start, words: dict, letters=None):
+    """Breadth-first walk over state tuples from the tuple start.  Given one
+    machine, every entry is one of its states and reads the same letter
+    (the given letters, default all, in order).  Given a tuple of machines,
+    entry i is a state of ``machines[i]``, and a letter is a tuple whose
+    entry i that machine reads.  Yields ``(states, word)`` for each tuple,
+    its word the shortest that leads there (ties broken by letter order),
+    before walking on from it.  ``words`` maps each tuple met to its word; a
     caller walking from several starts shares it, so a tuple met before,
-    with all it leads to, is not walked again."""
+    with all it leads to, is not walked again.  A step reads each entry's
+    next state off a column (``columns``): with one machine, one
+    ``itemgetter`` of the tuple reads every letter's column."""
     if start in words:
         return
-    delta = m.delta
-    letters = m.alphabet if letters is None else tuple(letters)
+    if isinstance(machines, tuple):  # entry i steps by its letter's column of machines[i]
+        cols = [m.columns for m in machines]
+        moves = [(x, tuple(map(getitem, cols, x))) for x in letters]
+        reader = lambda cur: lambda steps: tuple(map(getitem, steps, cur))  # noqa: E731
+    else:  # every entry steps by the letter's one column
+        moves = [(a, machines.columns[a]) for a in (machines.alphabet if letters is None else letters)]
+        reader = lambda cur: itemgetter(*cur) if len(cur) > 1 else lambda col: (col[cur[0]],)  # noqa: E731
     words[start] = ()
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+    queue = [start]
+    for cur in queue:  # grows as tuples are met
         word = words[cur]
         yield cur, word
-        for a in letters:
-            nxt = tuple([delta[p, a] for p in cur])
+        read = reader(cur)
+        for a, step in moves:
+            nxt = read(step)
             if nxt not in words:
                 words[nxt] = word + (a,)
                 queue.append(nxt)
@@ -115,44 +133,18 @@ def _breadth_first(start, row, letters) -> dict:
 
 def reachable_with_witnesses(m: MooreMachine, letters=None):
     """BFS over the given letters (default: all); returns (states, witness words)."""
-    delta = m.delta
     letters = m.alphabet if letters is None else tuple(letters)
-    rows = {q: [delta[q, a] for a in letters] for q in m.states}
-    words = _breadth_first(m.start, rows.__getitem__, letters)
+    cols = [m.columns[a] for a in letters]
+    words = _breadth_first(m.start, lambda q: [col[q] for col in cols], letters)
     return tuple(words), words
-
-
-def _product_reach(machines, letters):
-    """Breadth-first walk over the state tuples the machines reach together.
-
-    Each letter is a tuple fed componentwise, one entry per machine.  Yields
-    ``(states, word, successors)`` in discovery order: the state tuple, its
-    shortest word of letters (ties broken by letter order), and its
-    successor under each letter, in letter order.
-    """
-    deltas = [m.delta for m in machines]
-    start = tuple(m.start for m in machines)
-    words = {start: ()}
-    queue = deque([start])
-    while queue:
-        qs = queue.popleft()
-        word = words[qs]
-        successors = []
-        for letter in letters:
-            nxt = tuple(map(dict.__getitem__, deltas, zip(qs, letter)))
-            successors.append(nxt)
-            if nxt not in words:
-                words[nxt] = word + (letter,)
-                queue.append(nxt)
-        yield qs, word, successors
 
 
 def machine_disagreement(m1: MooreMachine, m2: MooreMachine):
     """Shortest word on which the two machines output differently, else None."""
     if m1.letters != m2.letters:
         raise MachineError("alphabet mismatch")
-    letters = tuple((a, a) for a in m1.alphabet)
-    for (q1, q2), word, _ in _product_reach((m1, m2), letters):
+    letters = [(a, a) for a in m1.alphabet]
+    for (q1, q2), word in _state_walk((m1, m2), (m1.start, m2.start), {}, letters):
         if m1.out[q1] != m2.out[q2]:
             return tuple(a for a, _ in word)
     return None

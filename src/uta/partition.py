@@ -48,6 +48,15 @@ class Partition:
             raise ValueError("blocks not in canonical order")
 
     @staticmethod
+    def _canonical(universe: tuple, blocks: tuple) -> "Partition":
+        """Distinct elements grouped in universe order, as ``from_key``
+        groups them, taken as canonical without a check."""
+        p = object.__new__(Partition)
+        object.__setattr__(p, "universe", universe)
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
+    @staticmethod
     def from_blocks(universe, blocks) -> "Partition":
         universe = tuple(universe)
         pos = {x: i for i, x in enumerate(universe)}

@@ -264,7 +264,11 @@ def syntactic_of(rec: Recognizer) -> tuple[SyntacticResult, Recognizer]:
     observes, from one closure of the valuation and one refinement on the
     original machines (``syntactic._syntactic``); no trimmed algebra is
     built.  It accepts the same language; its accepting set is disjunctive."""
-    res = _syntactic(rec.algebra, rec.finals, rec.valuation.values())
+    return _syntactic_recognizer(rec, _syntactic(rec.algebra, rec.finals, rec.valuation.values()))
+
+
+def _syntactic_recognizer(rec: Recognizer, res: SyntacticResult) -> tuple[SyntacticResult, Recognizer]:
+    """``syntactic_of`` from the syntactic result of rec's accepting set."""
     rec2 = Recognizer(
         res.algebra,
         rec.table,

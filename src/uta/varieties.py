@@ -20,25 +20,23 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .algebra import RegularAlgebra, Translation, _refine, translation_walk
-from .horizon import (
-    MooreMachine,
-    _product_reach,
-    _state_walk,
-    reachable_with_witnesses,
-)
+from .algebra import RegularAlgebra, Translation, _class_algebra, _refine, translation_walk
+from .horizon import MooreMachine, _state_walk, reachable_with_witnesses
 from .partition import element_label
 from .recognizer import (
     Recognizer,
     RecognizerError,
     _order_or_cycle,
     _PumpingGraph,
+    _syntactic_recognizer,
     _trim,
     complement,
     minimal_value_trees,
-    syntactic_of,
 )
+from .syntactic import _syntactic_from
 from .trees import (
     HOLE_LEAF,
     Definite,
@@ -191,67 +189,105 @@ def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
     raise RecognizerError("no separating context: finals not disjunctive")
 
 
-def _definite_chain(srec: Recognizer, min_levels: int = 0):
-    """The shrinking relations R_1, R_2, ... on syntactic values, where R_j
-    relates the values of any two trees whose top j levels agree.
+def _bits(mask: int) -> list:
+    """The members of a bitset, least first."""
+    members = []
+    while mask:
+        members.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return members
 
-    R_1 pairs the outputs of each operator's machine (a depth-1 segment
-    fixes the root symbol only).  For j >= 2, two trees share a depth-j
-    segment iff they are the same leaf or carry the same operator and
-    arity with childwise shared depth-(j-1) segments; running each machine
-    against itself over R_(j-1) letter pairs captures that exactly.  Every
-    relation stores per-pair provenance so witness trees can be rebuilt.
 
-    Returns (levels, outcome) with levels[j] the R_j dict (index 0 unused)
-    and outcome ("diagonal", k) for the least k with R_k trivial, or
-    ("stable", j) when the chain repeats above the diagonal.  Levels keep
-    being produced until min_levels even after stabilizing, because the
-    per-level provenance depths differ.
+def _pairs_reached(m, rel) -> list:
+    """Per state q1 of the int machine m, the bitset of every q2 such that m
+    run against itself over letter pairs (a, b), b in ``rel[a]``, reaches
+    (q1, q2).  A worklist keeps the q2s each q1 gained since it was last
+    read, so each pair is read once, as one bit; letters with one row of
+    rel share the image of those q2s.  No words are built."""
+    rows, kinds = m.rows, {}
+    kind = [kinds.setdefault(row, len(kinds)) for row in rel]
+    # images[k][q2]: the states the letters of the k-th distinct row lead q2 to
+    images = [[reduce(or_, [1 << row[b] for b in bs]) for row in rows] for bs in map(_bits, kinds)]
+    reached, fresh, work = [1] + [0] * (len(rows) - 1), [1] + [0] * (len(rows) - 1), [0]  # (start, start)
+    while work:
+        q1 = work.pop()
+        gained, fresh[q1] = _bits(fresh[q1]), 0
+        moved = [reduce(or_, map(image.__getitem__, gained)) for image in images]
+        for t, k in zip(rows[q1], kind):
+            new = moved[k] & ~reached[t]
+            if new:
+                if not fresh[t]:
+                    work.append(t)
+                reached[t] |= new
+                fresh[t] |= new
+    return reached
+
+
+def _definite_chain(calg) -> tuple:
+    """The shrinking relations R_1, R_2, ... on the classes of a syntactic
+    algebra (``algebra._class_algebra``), where R_j relates the values of
+    any two trees whose top j levels agree; ``R_j[a]`` is the bitset of the
+    b with (a, b) in R_j.  R_1 pairs the outputs of each operator's machine
+    (a depth-1 segment fixes the root symbol only).  For j >= 2, two trees
+    share a depth-j segment iff they are the same leaf or carry the same
+    operator and arity with childwise shared depth-(j-1) segments: each
+    machine run against itself over R_(j-1) letter pairs captures that.
+
+    Returns (levels, outcome) with levels[j] = R_j (index 0 unused), and
+    outcome ("diagonal", k) for the least k with R_k trivial, or ("stable",
+    j) for the least j with R_(j+1) = R_j, which every later level repeats.
     """
-    alg = srec.algebra
-    V = alg.elements
-    pos = {a: i for i, a in enumerate(V)}
-    levels: list = [None]
+    diagonal = [1 << a for a in calg.elements]
+    rel = diagonal[:]
+    for m in calg.ops.values():
+        outs = reduce(or_, [1 << o for o in m.out])
+        for o in m.out:
+            rel[o] |= outs
+    levels: list = [None, rel]
+    while rel != diagonal:
+        nxt = diagonal[:]
+        for m in calg.ops.values():
+            for o, pairs in zip(m.out, _pairs_reached(m, rel)):
+                nxt[o] |= reduce(or_, [1 << m.out[q] for q in _bits(pairs)], 0)
+        if nxt == rel:
+            return levels, ("stable", len(levels) - 1)
+        levels.append(rel := nxt)
+    return levels, ("diagonal", len(levels) - 1)
 
-    r1: dict = {}
-    for f in alg.sigma:
-        m = alg.ops[f]
-        states, witness = reachable_with_witnesses(m)
-        out_word: dict = {}
-        for q in states:
-            out_word.setdefault(m.out[q], witness[q])
-        for a, ua in out_word.items():
-            for b, ub in out_word.items():
-                r1.setdefault((a, b), ("sym", f, ua, ub))
-    for a in V:
-        r1.setdefault((a, a), ("diag", a))
-    levels.append(r1)
 
-    def diagonal(rel):
-        return all(a == b for (a, b) in rel)
-
-    stable_at = None
-    j = 1
-    while True:
-        cur = levels[j]
-        if diagonal(cur):
-            return levels, ("diagonal", j)
-        if stable_at is not None and j >= min_levels:
-            return levels, ("stable", stable_at)
-        pairs = tuple(sorted(cur, key=lambda ab: (pos[ab[0]], pos[ab[1]])))
-        nxt: dict = {}
-        for f in alg.sigma:
-            m = alg.ops[f]
-            for (q1, q2), word, _ in _product_reach((m, m), pairs):
-                nxt.setdefault((m.out[q1], m.out[q2]), ("step", f, word))
-        for a in V:
-            nxt.setdefault((a, a), ("diag", a))
-        if stable_at is None and set(nxt) == set(cur):
-            stable_at = j
-        levels.append(nxt)
-        j += 1
-        if j > len(V) * len(V) + max(min_levels, 0) + 2:
-            raise RecognizerError("definiteness chain failed to stabilize")
+def _pair_provenance(calg, levels, pair, level) -> list:
+    """Per level j from ``level`` down, the provenance of each pair that
+    ``_pair_trees`` reads to realize ``pair`` at ``level``, as a chain with
+    words finds it first: at j = 1, ("sym", f, u, v) for the first operator
+    f with both outputs (u, v their first witness words); above, ("step", f,
+    word) for the first state pair with these outputs that f's machine
+    meets against itself over the sorted pairs of R_(j-1); else ("diag",
+    a).  One walk per operator and level, until all pairs there are found."""
+    prov: list = [None] * (level + 1)
+    need = {pair}
+    for j in range(level, 0, -1):
+        got: dict = {}
+        rel = levels[min(j - 1, len(levels) - 1)]
+        letters = [(a, b) for a in calg.elements for b in _bits(rel[a])] if j > 1 else None
+        for f in calg.sigma:
+            m = calg.ops[f]
+            if j == 1:
+                states, witness = reachable_with_witnesses(m)
+                first: dict = {}
+                for q in states:
+                    first.setdefault(m.out[q], witness[q])
+                got.update({(a, b): ("sym", f, first[a], first[b])
+                            for a, b in need - got.keys() if a in first and b in first})
+                continue
+            for (q1, q2), word in _state_walk((m, m), (m.start, m.start), {}, letters):
+                if len(got) == len(need):
+                    break
+                if (m.out[q1], m.out[q2]) in need:
+                    got.setdefault((m.out[q1], m.out[q2]), ("step", f, word))
+        got.update({(a, b): ("diag", a) for a, b in need - got.keys()})  # pairs on the diagonal
+        prov[j] = got
+        need = {p for kind, *rest in got.values() if kind == "step" for p in rest[1]}
+    return prov
 
 
 def _pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
@@ -272,19 +308,19 @@ def _pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
     return op(f, [s for s, _ in kids]), op(f, [t for _, t in kids])
 
 
-def _membership_counterexample(srec, levels, level) -> tuple[Tree, Tree]:
+def _membership_counterexample(srec, calg, levels, level) -> tuple[Tree, Tree]:
     """Two trees with equal depth-``level`` top segments and different
-    membership: realize the first off-diagonal value pair, then wrap both
-    sides in a context separating the two values.  Only a *no* reaches
-    here, so only a *no* builds the least trees."""
+    membership: realize the first off-diagonal pair of R_level, then wrap
+    both sides in a context separating the two values.  Only a *no* reaches
+    here, so only a *no* builds words and least trees."""
     value_trees = minimal_value_trees(srec)
-    pos = {a: i for i, a in enumerate(srec.algebra.elements)}
-    offender = min(
-        (ab for ab in levels[level] if ab[0] != ab[1]),
-        key=lambda ab: (pos[ab[0]], pos[ab[1]]),
-    )
-    s, t = _pair_trees(levels, value_trees, offender, level)
-    p = _separating_context(srec, offender[0], offender[1], value_trees)
+    names = srec.algebra.elements
+    rel = levels[min(level, len(levels) - 1)]
+    a = next(a for a, row in enumerate(rel) if row != 1 << a)
+    offender = a, _bits(rel[a] & ~(1 << a))[0]
+    prov = _pair_provenance(calg, levels, offender, level)
+    s, t = _pair_trees(prov, [value_trees[x] for x in names], offender, level)
+    p = _separating_context(srec, names[offender[0]], names[offender[1]], value_trees)
     return plug(p, s), plug(p, t)
 
 
@@ -296,63 +332,47 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
     two trees that share the relevant top segment yet differ by
     membership (for the unparameterized query, at the depth where the
     chain stabilized; no greater depth can help from there on).
+
+    The chain runs on the int machines of one ``_refine``; only a *no*
+    names the syntactic recognizer, from the same refinement.
     """
     if k is not None and k < 0:
         raise ValueError("Definite needs k >= 0")
-    _res, srec = syntactic_of(rec)
-    V = srec.algebra.elements
-    if len(V) <= 1:
+    alg = rec.algebra
+    theta, table = _refine(alg, rec.finals.__contains__, rec.valuation.values())
+    if theta.block_count <= 1:
         return VarietyVerdict("Def", True, "exact", parameter=0)
+    srec = lambda: _syntactic_recognizer(rec, _syntactic_from(alg, rec.finals, theta, table))[1]  # noqa: E731
     if k == 0:
-        finals = [a for a in V if a in srec.finals]
-        non = [a for a in V if a not in srec.finals]
-        value_trees = minimal_value_trees(srec)
-        return VarietyVerdict(
-            "Def",
-            False,
-            "exact",
-            counterexample=(value_trees[finals[0]], value_trees[non[0]]),
-            detail="two trees with different membership exist",
-        )
-    levels, outcome = _definite_chain(srec, min_levels=k or 0)
-    if outcome[0] == "diagonal":
-        least = outcome[1]
-        if k is None or least <= k:
-            return VarietyVerdict("Def", True, "exact", parameter=least)
-        s, t = _membership_counterexample(srec, levels, k)
-        return VarietyVerdict(
-            "Def",
-            False,
-            "exact",
-            counterexample=(s, t),
-            detail=f"depth {k} is insufficient; depth {least} is the least",
-        )
-    stable = outcome[1]
-    level = min(k, len(levels) - 1) if k is not None else stable
-    s, t = _membership_counterexample(srec, levels, level)
-    return VarietyVerdict(
-        "Def",
-        False,
-        "exact",
-        counterexample=(s, t),
-        detail=f"chain stabilized above the diagonal at depth {stable}",
-    )
+        srec = srec()
+        V, value_trees = srec.algebra.elements, minimal_value_trees(srec)
+        pair = tuple(value_trees[next(a for a in V if (a in srec.finals) == side)] for side in (True, False))
+        return VarietyVerdict("Def", False, "exact", counterexample=pair, detail="two trees with different membership exist")
+    calg = _class_algebra(alg, theta, table)
+    levels, (outcome, j) = _definite_chain(calg)
+    if outcome == "diagonal":
+        if k is None or j <= k:
+            return VarietyVerdict("Def", True, "exact", parameter=j)
+        detail = f"depth {k} is insufficient; depth {j} is the least"
+    else:
+        detail = f"chain stabilized above the diagonal at depth {j}"
+    s, t = _membership_counterexample(srec(), calg, levels, j if k is None else k)
+    return VarietyVerdict("Def", False, "exact", counterexample=(s, t), detail=detail)
 
 
 # ---------------------------------------------------------------------------
 # Aperiodicity
 
 
-def _power_tail(pos: dict, tr: Translation):
-    """Least n with tr^(n+1) = tr^n, or None if iteration enters a proper
-    cycle.  Terminates because the powers of a map on a finite set repeat.
-    ``pos`` numbers the carrier; powers are iterated on those numbers."""
-    step = [pos[b] for b in tr.table]
-    prev = tuple(range(len(step)))
+def _power_tail(table) -> int | None:
+    """Least n with p^(n+1) = p^n for the map p on 0, 1, ... that the table
+    lists, or None if iteration enters a proper cycle.  Terminates because
+    the powers of a map on a finite set repeat."""
+    prev = tuple(range(len(table)))
     seen = {prev}
     n = 0
     while True:
-        cur = tuple(map(step.__getitem__, prev))
+        cur = tuple(map(table.__getitem__, prev))
         if cur == prev:
             return n
         if cur in seen:
@@ -363,7 +383,7 @@ def _power_tail(pos: dict, tr: Translation):
 
 
 def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
-    """Aperiodicity via the translation monoid of the syntactic recognizer.
+    """Aperiodicity via the translation monoid of the syntactic algebra.
 
     There, the accepting set is disjunctive and every translation is the
     trace of some context, so "inserting a context n+1 times is always
@@ -371,26 +391,24 @@ def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
     p^(n+1) = p^n on the unary maps.  The reported index is the largest
     tail over the monoid; a map entering a proper cycle refutes.
 
-    The monoid is walked lazily in ``translation_walk`` order, elementary
-    maps included, so a *no* costs only the walk up to the first map with a
-    proper cycle; a *yes* visits every translation, which can be
+    The monoid of the int machines of one ``_refine`` (as ``def`` reads
+    them) is walked lazily in ``translation_walk`` order, elementary maps
+    included, and a refuting map is named by class only at the end: no
+    quotient is built.  A *no* costs only the walk up to the first map with
+    a proper cycle; a *yes* visits every translation, which can be
     exponentially many (the problem is PSPACE-complete already for automata
     on words).
     """
-    _res, srec = syntactic_of(rec)
-    alg = srec.algebra
-    pos = {a: i for i, a in enumerate(alg.elements)}
+    alg = rec.algebra
+    theta, table = _refine(alg, rec.finals.__contains__, rec.valuation.values())
     ia = 0
-    for tr in translation_walk(alg):
-        tail = _power_tail(pos, tr)
+    for tr in translation_walk(_class_algebra(alg, theta, table)):
+        tail = _power_tail(tr.table)
         if tail is None:
-            return VarietyVerdict(
-                "Ap",
-                False,
-                "exact",
-                counterexample=tr,
-                detail="translation with a proper cycle",
-            )
+            names = [theta.class_name(b[0]) for b in theta.blocks]
+            word = lambda w: tuple(map(names.__getitem__, w))  # noqa: E731
+            named = Translation(word(tr.table), tuple((f, word(u), word(v)) for f, u, v in tr.provenance))
+            return VarietyVerdict("Ap", False, "exact", counterexample=named, detail="translation with a proper cycle")
         ia = max(ia, tail)
     return VarietyVerdict("Ap", True, "exact", parameter=ia)
 

@@ -15,15 +15,19 @@ from uta import (
     SymbolTable,
     TermGMorphism,
     Translation,
+    Tree,
     leaf,
     op,
     syntactic_of,
+    translation_walk,
     trim,
 )
 from uta import algebra, horizon, recognizer, varieties
-from uta.horizon import MachineError, _product_reach, state_records
+from uta.horizon import MachineError, reachable_with_witnesses, state_records
 from uta.trees import KeyParts, TreeBank, check_bounds, parse_term
-from uta.varieties import VarietyVerdict, kind_name
+from uta.recognizer import RecognizerError, minimal_value_trees
+from uta.trees import plug
+from uta.varieties import VarietyVerdict, _separating_context, kind_name
 from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
 
@@ -150,7 +154,8 @@ def subsets(xs):
 
 
 # ---------------------------------------------------------------------------
-# The machine searches that ``horizon._state_walk`` replaced, kept as referees
+# The machine searches that ``horizon._state_walk`` replaced, kept as referees:
+# ``_product_reach`` is the walk over several machines that it absorbed
 
 
 def ref_reachable_with_witnesses(m: MooreMachine, letters=None):
@@ -169,6 +174,31 @@ def ref_reachable_with_witnesses(m: MooreMachine, letters=None):
                 order.append(q2)
                 queue.append(q2)
     return tuple(order), words
+
+
+def _product_reach(machines, letters):
+    """Breadth-first walk over the state tuples the machines reach together.
+
+    Each letter is a tuple fed componentwise, one entry per machine.  Yields
+    ``(states, word, successors)`` in discovery order: the state tuple, its
+    shortest word of letters (ties broken by letter order), and its
+    successor under each letter, in letter order.
+    """
+    deltas = [m.delta for m in machines]
+    start = tuple(m.start for m in machines)
+    words = {start: ()}
+    queue = deque([start])
+    while queue:
+        qs = queue.popleft()
+        word = words[qs]
+        successors = []
+        for letter in letters:
+            nxt = tuple(map(dict.__getitem__, deltas, zip(qs, letter)))
+            successors.append(nxt)
+            if nxt not in words:
+                words[nxt] = word + (letter,)
+                queue.append(nxt)
+        yield qs, word, successors
 
 
 def ref_word_to(m: MooreMachine, q, target) -> tuple:
@@ -409,6 +439,213 @@ def monoid_translation_walk(alg: RegularAlgebra):
                 tr = Translation(table, p.provenance + provenance)
                 queue.append(tr)
                 yield tr
+
+
+# ---------------------------------------------------------------------------
+# The exact deciders as they ran on the named syntactic recognizer, kept as
+# referees: the chain built every level with a walk with words over every
+# pair, and ap walked the quotient's translations.  ``srec``, when given, is
+# ``syntactic_of(rec)[1]``, made once for several calls.
+
+
+def walked_definite_chain(srec: Recognizer, min_levels: int = 0):
+    """The shrinking relations R_1, R_2, ... on syntactic values, where R_j
+    relates the values of any two trees whose top j levels agree.
+
+    R_1 pairs the outputs of each operator's machine (a depth-1 segment
+    fixes the root symbol only).  For j >= 2, two trees share a depth-j
+    segment iff they are the same leaf or carry the same operator and
+    arity with childwise shared depth-(j-1) segments; running each machine
+    against itself over R_(j-1) letter pairs captures that exactly.  Every
+    relation stores per-pair provenance so witness trees can be rebuilt.
+
+    Returns (levels, outcome) with levels[j] the R_j dict (index 0 unused)
+    and outcome ("diagonal", k) for the least k with R_k trivial, or
+    ("stable", j) when the chain repeats above the diagonal.  Levels keep
+    being produced until min_levels even after stabilizing, because the
+    per-level provenance depths differ.
+    """
+    alg = srec.algebra
+    V = alg.elements
+    pos = {a: i for i, a in enumerate(V)}
+    levels: list = [None]
+
+    r1: dict = {}
+    for f in alg.sigma:
+        m = alg.ops[f]
+        states, witness = reachable_with_witnesses(m)
+        out_word: dict = {}
+        for q in states:
+            out_word.setdefault(m.out[q], witness[q])
+        for a, ua in out_word.items():
+            for b, ub in out_word.items():
+                r1.setdefault((a, b), ("sym", f, ua, ub))
+    for a in V:
+        r1.setdefault((a, a), ("diag", a))
+    levels.append(r1)
+
+    def diagonal(rel):
+        return all(a == b for (a, b) in rel)
+
+    stable_at = None
+    j = 1
+    while True:
+        cur = levels[j]
+        if diagonal(cur):
+            return levels, ("diagonal", j)
+        if stable_at is not None and j >= min_levels:
+            return levels, ("stable", stable_at)
+        pairs = tuple(sorted(cur, key=lambda ab: (pos[ab[0]], pos[ab[1]])))
+        nxt: dict = {}
+        for f in alg.sigma:
+            m = alg.ops[f]
+            for (q1, q2), word, _ in _product_reach((m, m), pairs):
+                nxt.setdefault((m.out[q1], m.out[q2]), ("step", f, word))
+        for a in V:
+            nxt.setdefault((a, a), ("diag", a))
+        if stable_at is None and set(nxt) == set(cur):
+            stable_at = j
+        levels.append(nxt)
+        j += 1
+        if j > len(V) * len(V) + max(min_levels, 0) + 2:
+            raise RecognizerError("definiteness chain failed to stabilize")
+
+
+def ref_pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
+    """Two trees realizing a related value pair, sharing their top ``level``
+    segment by construction."""
+    prov = levels[level][pair]
+    if prov[0] == "diag":
+        t = value_trees[prov[1]]
+        return t, t
+    if prov[0] == "sym":
+        _, f, ua, ub = prov
+        return (
+            op(f, [value_trees[c] for c in ua]),
+            op(f, [value_trees[c] for c in ub]),
+        )
+    _, f, word = prov
+    kids = [ref_pair_trees(levels, value_trees, p, level - 1) for p in word]
+    return op(f, [s for s, _ in kids]), op(f, [t for _, t in kids])
+
+
+def ref_membership_counterexample(srec, levels, level) -> tuple[Tree, Tree]:
+    """Two trees with equal depth-``level`` top segments and different
+    membership: realize the first off-diagonal value pair, then wrap both
+    sides in a context separating the two values.  Only a *no* reaches
+    here, so only a *no* builds the least trees."""
+    value_trees = minimal_value_trees(srec)
+    pos = {a: i for i, a in enumerate(srec.algebra.elements)}
+    offender = min(
+        (ab for ab in levels[level] if ab[0] != ab[1]),
+        key=lambda ab: (pos[ab[0]], pos[ab[1]]),
+    )
+    s, t = ref_pair_trees(levels, value_trees, offender, level)
+    p = _separating_context(srec, offender[0], offender[1], value_trees)
+    return plug(p, s), plug(p, t)
+
+
+def ref_decide_definite(rec: Recognizer, k: int | None = None, srec=None) -> VarietyVerdict:
+    """Least depth whose top segment determines membership, exactly.
+
+    With ``k`` given, answers whether that particular depth suffices; the
+    parameter of a yes is always the least sufficient depth.  A no carries
+    two trees that share the relevant top segment yet differ by
+    membership (for the unparameterized query, at the depth where the
+    chain stabilized; no greater depth can help from there on).
+    """
+    if k is not None and k < 0:
+        raise ValueError("Definite needs k >= 0")
+    srec = syntactic_of(rec)[1] if srec is None else srec
+    V = srec.algebra.elements
+    if len(V) <= 1:
+        return VarietyVerdict("Def", True, "exact", parameter=0)
+    if k == 0:
+        finals = [a for a in V if a in srec.finals]
+        non = [a for a in V if a not in srec.finals]
+        value_trees = minimal_value_trees(srec)
+        return VarietyVerdict(
+            "Def",
+            False,
+            "exact",
+            counterexample=(value_trees[finals[0]], value_trees[non[0]]),
+            detail="two trees with different membership exist",
+        )
+    levels, outcome = walked_definite_chain(srec, min_levels=k or 0)
+    if outcome[0] == "diagonal":
+        least = outcome[1]
+        if k is None or least <= k:
+            return VarietyVerdict("Def", True, "exact", parameter=least)
+        s, t = ref_membership_counterexample(srec, levels, k)
+        return VarietyVerdict(
+            "Def",
+            False,
+            "exact",
+            counterexample=(s, t),
+            detail=f"depth {k} is insufficient; depth {least} is the least",
+        )
+    stable = outcome[1]
+    level = min(k, len(levels) - 1) if k is not None else stable
+    s, t = ref_membership_counterexample(srec, levels, level)
+    return VarietyVerdict(
+        "Def",
+        False,
+        "exact",
+        counterexample=(s, t),
+        detail=f"chain stabilized above the diagonal at depth {stable}",
+    )
+
+
+def ref_power_tail(pos: dict, tr: Translation):
+    """Least n with tr^(n+1) = tr^n, or None if iteration enters a proper
+    cycle.  Terminates because the powers of a map on a finite set repeat.
+    ``pos`` numbers the carrier; powers are iterated on those numbers."""
+    step = [pos[b] for b in tr.table]
+    prev = tuple(range(len(step)))
+    seen = {prev}
+    n = 0
+    while True:
+        cur = tuple(map(step.__getitem__, prev))
+        if cur == prev:
+            return n
+        if cur in seen:
+            return None
+        seen.add(cur)
+        prev = cur
+        n += 1
+
+
+def ref_decide_aperiodic(rec: Recognizer, srec=None) -> VarietyVerdict:
+    """Aperiodicity via the translation monoid of the syntactic recognizer.
+
+    There, the accepting set is disjunctive and every translation is the
+    trace of some context, so "inserting a context n+1 times is always
+    indistinguishable from n times" collapses to the pointwise condition
+    p^(n+1) = p^n on the unary maps.  The reported index is the largest
+    tail over the monoid; a map entering a proper cycle refutes.
+
+    The monoid is walked lazily in ``translation_walk`` order, elementary
+    maps included, so a *no* costs only the walk up to the first map with a
+    proper cycle; a *yes* visits every translation, which can be
+    exponentially many (the problem is PSPACE-complete already for automata
+    on words).
+    """
+    srec = syntactic_of(rec)[1] if srec is None else srec
+    alg = srec.algebra
+    pos = {a: i for i, a in enumerate(alg.elements)}
+    ia = 0
+    for tr in translation_walk(alg):
+        tail = ref_power_tail(pos, tr)
+        if tail is None:
+            return VarietyVerdict(
+                "Ap",
+                False,
+                "exact",
+                counterexample=tr,
+                detail="translation with a proper cycle",
+            )
+        ia = max(ia, tail)
+    return VarietyVerdict("Ap", True, "exact", parameter=ia)
 
 
 # ---------------------------------------------------------------------------

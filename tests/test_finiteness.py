@@ -45,7 +45,6 @@ from uta import (
     union,
 )
 from uta import recognizer, varieties
-from uta.horizon import _product_reach
 from uta.recognizer import (
     _least_trees,
     _order_or_cycle,
@@ -59,6 +58,7 @@ from uta.trees import _NAME_RE, Tree, TreeBank, leaf, subtrees
 from uta.workspace import load_workspace
 
 from helpers import (
+    _product_reach,
     BOOL_TABLE,
     PARITY_TABLE,
     ROOT_TABLE,

@@ -19,13 +19,13 @@ from uta import (
 )
 from uta.horizon import (
     MachineError,
-    _product_reach,
     _state_walk,
     reachable_with_witnesses,
 )
 from uta.recognizer import _word_to
 
 from helpers import (
+    _product_reach,
     const_machine,
     parity_machine,
     random_algebra,
@@ -345,17 +345,22 @@ def test_quotients_match_the_subset_construction():
 
 
 class CountedReads(dict):
-    """A transition map that counts its reads."""
+    """A column of a machine that counts its reads in ``reads[0]``, a count
+    it shares with the machine's other columns."""
 
-    reads = 0
+    def __init__(self, column, reads):
+        super().__init__(column)
+        self.reads = reads
 
     def __getitem__(self, key):
-        self.reads += 1
+        self.reads[0] += 1
         return super().__getitem__(key)
 
 
 def counted(m: MooreMachine) -> MooreMachine:
-    object.__setattr__(m, "delta", CountedReads(m.delta))
+    """The machine with its columns counting their reads in ``m.reads``."""
+    object.__setattr__(m, "reads", [0])
+    m.columns.update((a, CountedReads(col, m.reads)) for a, col in list(m.columns.items()))
     return m
 
 
@@ -374,10 +379,10 @@ def test_walk_yields_each_tuple_before_reading_on_from_it():
     m = counted(random_machine(random.Random(3), ("0", "1", "2"), max_states=4))
     walk = _state_walk(m, (m.start, m.states[-1]), {})
     assert next(walk) == ((m.start, m.states[-1]), ())
-    assert m.delta.reads == 0
+    assert m.reads == [0]
     rest = list(walk)
     # each tuple met reads each letter once per entry, and no more
-    assert m.delta.reads == (1 + len(rest)) * 3 * 2
+    assert m.reads == [(1 + len(rest)) * 3 * 2]
 
 
 def test_walk_from_a_tuple_met_before_yields_nothing():

@@ -1,10 +1,14 @@
-"""Every state-pair search runs on one kernel, ``horizon._product_reach``.
+"""Every state-pair search with words runs on one kernel, ``horizon._state_walk``
+over a tuple of machines.
 
 The hand-written breadth-first loops it replaced are kept here as
 references: the machine disagreement search, the related-pair violation
 search behind the congruence checks, one level of the definiteness chain,
 the synchronous product, and the morphism check through rebuilt machines.
 On seeded draws the library must give the same witnesses and machines.
+The definiteness chain now runs on bitsets and keeps no words; its
+relations are checked against the loop's, and its verdicts against the
+decider that built them from the loop.
 """
 
 import random
@@ -33,11 +37,12 @@ from uta import (
     verify_algebra_gmorphism,
 )
 from uta import varieties
-from uta.algebra import NotACongruenceError
+from uta.algebra import NotACongruenceError, _class_algebra, _refine
 from uta.horizon import MachineError, reachable_with_witnesses
 from uta.recognizer import RecognizerError
 
-from helpers import random_machine, subsets
+import helpers
+from helpers import random_machine, ref_decide_definite, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +354,22 @@ def test_definite_chain_and_verdicts_match_the_reference(monkeypatch):
         recs.append(trim(Recognizer(alg, table, valuation, finals)))
     perm = permuted_algebra()
     recs.append(Recognizer(perm, SymbolTable(("f",), ("x",)), {"x": "b"}, {"a"}))
-    verdicts = []
+    monkeypatch.setattr(helpers, "walked_definite_chain", ref_definite_chain)
+    refuted = 0
     for rec in recs:
         srec = syntactic_of(rec)[1]
+        names = srec.algebra.elements
+        theta, table = _refine(rec.algebra, rec.finals.__contains__, rec.valuation.values())
+        levels, outcome = varieties._definite_chain(_class_algebra(rec.algebra, theta, table))
+        got = [{(names[a], names[b]) for a, row in enumerate(lv) for b in range(len(lv)) if row >> b & 1}
+               for lv in levels[1:]]
         for min_levels in (0, 3):
-            assert varieties._definite_chain(srec, min_levels) == ref_definite_chain(srec, min_levels)
-        verdicts.append([decide_definite(rec, k) for k in (None, 1, 2, 3)])
-    monkeypatch.setattr(varieties, "_definite_chain", ref_definite_chain)
-    refuted = 0
-    for rec, got in zip(recs, verdicts):
-        want = [decide_definite(rec, k) for k in (None, 1, 2, 3)]
-        assert got == want
-        refuted += sum(not v.holds for v in got)
+            ref_levels, ref_outcome = ref_definite_chain(srec, min_levels)
+            want = [set(lv) for lv in ref_levels[1:]]
+            # past a stable level the loop repeats it; the bitsets stop there
+            assert outcome == ref_outcome and want[:len(got)] == got
+            assert all(lv == got[-1] for lv in want[len(got):])
+        verdicts = [decide_definite(rec, k) for k in (None, 1, 2, 3)]
+        assert verdicts == [ref_decide_definite(rec, k, srec) for k in (None, 1, 2, 3)]
+        refuted += sum(not v.holds for v in verdicts)
     assert refuted > 50

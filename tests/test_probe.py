@@ -112,7 +112,7 @@ def test_probe_refines_once_and_builds_no_quotient(monkeypatch):
 
     monkeypatch.setattr(varieties, "_refine", refine)
     monkeypatch.setattr(horizon.MooreMachine, "__post_init__", init)
-    for mod, name in ((algebra, "_quotient"), (recognizer, "syntactic_of"), (varieties, "syntactic_of")):
+    for mod, name in ((algebra, "_quotient"), (recognizer, "syntactic_of")):
         monkeypatch.setattr(mod, name, refuse)
     ws = load_workspace([str(ROOT / "fixtures" / "bool.uta"), str(ROOT / "tests" / "workspaces" / "untrimmed.uta")])
     for rec in ws.recognizers.values():

@@ -9,6 +9,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from uta import (
@@ -25,6 +26,7 @@ from uta import (
     syntactic_of,
     translations,
 )
+from uta.algebra import _refine
 from uta.horizon import reachable_with_witnesses
 from uta.oracle import BruteUniverse, brute_syntactic_partition, make_universe
 from uta.recognizer import minimal_value_trees
@@ -250,3 +252,29 @@ def test_coarsest_congruence_on_100_elements():
         classes.append(theta.block_count)
     assert max(classes) >= 10
     assert time.time() - t0 < 60.0
+
+
+def test_partition_checks_and_the_refinement_s_theta():
+    """A ``Partition`` made directly checks its blocks, one message per
+    fault.  ``_refine`` builds theta unchecked, as its canonical blocks; on
+    seeded draws that theta passes the checks and equals the partition
+    ``Partition.from_key`` groups by class."""
+    cases = [
+        (("a", "a"), (("a",),), "universe has duplicate elements"),
+        (("a",), (("a",), ()), "empty block"),
+        (("a",), (("a", "b"),), "block element b outside universe"),
+        (("a", "b"), (("a",), ("a", "b")), "element a occurs in two blocks"),
+        (("a", "b"), (("b", "a"),), "block members not in universe order"),
+        (("a", "b"), (("a",),), "blocks do not cover the universe"),
+        (("a", "b"), (("b",), ("a",)), "blocks not in canonical order"),
+    ]
+    for universe, blocks, message in cases:
+        with pytest.raises(ValueError) as err:
+            Partition(universe, blocks)
+        assert str(err.value) == message
+    rng = random.Random(23)
+    for _ in range(300):
+        rec = random_recognizer(rng)
+        theta, table = _refine(rec.algebra, rec.finals.__contains__, rec.valuation.values())
+        assert theta == Partition(theta.universe, theta.blocks)
+        assert theta == Partition.from_key(theta.universe, dict(zip(theta.universe, table[-1])).__getitem__)

@@ -7,6 +7,7 @@ import random
 from itertools import chain, islice
 
 from uta import (
+    Translation,
     decide_aperiodic,
     decide_definite,
     decide_nil,
@@ -69,7 +70,9 @@ def large_draw(seed):
 def test_ap_no_draws_no_elementary_map_past_the_refuting_one(monkeypatch):
     """On the large draws, an `ap` *no* pulls the elementary translations
     up to the refuting map and not one past it; the `def` *no* witnesses
-    share their top segment and differ by membership."""
+    share their top segment and differ by membership.  `ap` pulls them over
+    the class numbers, which name the syntactic recognizer's classes in
+    order."""
     pulled = []
 
     def counted(alg, f):
@@ -85,10 +88,13 @@ def test_ap_no_draws_no_elementary_map_past_the_refuting_one(monkeypatch):
         pulled.clear()
         verdict = decide_aperiodic(rec)
         assert not verdict.holds
-        assert pulled and pulled[-1] == verdict.counterexample
+        name = lambda w: tuple(alg.elements[i] for i in w)  # noqa: E731
+        named = [Translation(name(e.table), tuple((f, name(u), name(v)) for f, u, v in e.provenance))
+                 for e in pulled]
+        assert named and named[-1] == verdict.counterexample
         every = chain.from_iterable(elementary_translations(alg, f) for f in alg.sigma)
-        prefix = list(islice(every, len(pulled) + 1))
-        assert prefix[:-1] == pulled and len(prefix) == len(pulled) + 1
+        prefix = list(islice(every, len(named) + 1))
+        assert prefix[:-1] == named and len(prefix) == len(named) + 1
         for k in (1, 2, None):
             verdict = decide_definite(rec, k)
             assert not verdict.holds

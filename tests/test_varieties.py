@@ -435,17 +435,18 @@ def test_closure_preserves_exact_verdicts():
 
 
 def test_definite_chain_relations_wellformed():
+    from uta.algebra import _class_algebra, _refine
     from uta.varieties import _definite_chain
 
     rng = random.Random(91)
     for _ in range(15):
         rec = random_recognizer(rng)
-        _res, srec = syntactic_of(rec)
-        V = srec.algebra.elements
+        theta, table = _refine(rec.algebra, rec.finals.__contains__, rec.valuation.values())
+        V = range(theta.block_count)
         if len(V) <= 1:
             continue
-        levels, outcome = _definite_chain(srec, min_levels=0)
-        sets = [set(lv) for lv in levels[1:]]
+        levels, outcome = _definite_chain(_class_algebra(rec.algebra, theta, table))
+        sets = [{(a, b) for a in V for b in V if lv[a] >> b & 1} for lv in levels[1:]]
         for rel in sets:
             assert all((a, a) in rel for a in V)  # reflexive
             assert all((b, a) in rel for (a, b) in rel)  # symmetric
