@@ -6,9 +6,9 @@ references: the machine disagreement search, the related-pair violation
 search behind the congruence checks, one level of the definiteness chain,
 the synchronous product, and the morphism check through rebuilt machines.
 On seeded draws the library must give the same witnesses and machines.
-The definiteness chain now runs on bitsets and keeps no words; its
-relations are checked against the loop's, and its verdicts against the
-decider that built them from the loop.
+The definiteness chain runs on bitsets and keeps no words: its relations
+are checked against the loop's, and its verdicts against the decider
+that built them from the loop.
 """
 
 import random
