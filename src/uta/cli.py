@@ -127,6 +127,10 @@ def _parse_partition(text, universe, what) -> Partition:
 
 def _kind_from_args(args):
     kind = args.kind
+    if args.k is not None and kind in ("ap", "nil"):
+        raise CliError(f"--k is not supported by --kind {kind}")
+    if args.h is not None and kind != "gdef":
+        raise CliError(f"--h is not supported by --kind {kind}")
     if kind == "def":
         return Definite(args.k)
     if kind == "rdef":
@@ -449,18 +453,10 @@ def _cmd_quotient(ws, args):
 def _cmd_product(ws, args):
     a1 = _need(ws.algebras, "algebra", args.alg)
     a2 = _need(ws.algebras, "algebra", args.alg2)
-    kappa = {}
-    for piece in args.kappa.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "->" not in piece:
-            raise CliError(f"bad kappa entry {piece!r}")
-        g, fs = piece.split("->", 1)
-        names = fs.split()
-        if len(names) != 2:
-            raise CliError(f"kappa({g.strip()}) must pick one operator per factor")
-        kappa[g.strip()] = tuple(names)
+    kappa = {g: tuple(fs.split()) for g, fs in _parse_map(args.kappa, "--kappa").items()}
+    for g, fs in kappa.items():
+        if len(fs) != 2:
+            raise CliError(f"kappa({g}) must pick one operator per factor")
     out = g_product(kappa, [a1, a2])
     print(dump_algebra(out, f"{args.alg}_x_{args.alg2}", "sym"))
     return 0

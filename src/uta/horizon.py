@@ -131,11 +131,10 @@ def _breadth_first(start, row, letters) -> dict:
     return words
 
 
-def reachable_with_witnesses(m: MooreMachine, letters=None):
-    """BFS over the given letters (default: all); returns (states, witness words)."""
-    letters = m.alphabet if letters is None else tuple(letters)
-    cols = [m.columns[a] for a in letters]
-    words = _breadth_first(m.start, lambda q: [col[q] for col in cols], letters)
+def reachable_with_witnesses(m: MooreMachine):
+    """BFS over the alphabet; returns (states, witness words)."""
+    cols = [m.columns[a] for a in m.alphabet]
+    words = _breadth_first(m.start, lambda q: [col[q] for col in cols], m.alphabet)
     return tuple(words), words
 
 

@@ -264,18 +264,9 @@ def syntactic_of(rec: Recognizer) -> tuple[SyntacticResult, Recognizer]:
     observes, from one closure of the valuation and one refinement on the
     original machines (``syntactic._syntactic``); no trimmed algebra is
     built.  It accepts the same language; its accepting set is disjunctive."""
-    return _syntactic_recognizer(rec, _syntactic(rec.algebra, rec.finals, rec.valuation.values()))
-
-
-def _syntactic_recognizer(rec: Recognizer, res: SyntacticResult) -> tuple[SyntacticResult, Recognizer]:
-    """``syntactic_of`` from the syntactic result of rec's accepting set."""
-    rec2 = Recognizer(
-        res.algebra,
-        rec.table,
-        {x: res.morphism[rec.valuation[x]] for x in rec.table.leaves},
-        res.finals_image,
-    )
-    return res, rec2
+    res = _syntactic(rec.algebra, rec.finals, rec.valuation.values())
+    valuation = {x: res.morphism[rec.valuation[x]] for x in rec.table.leaves}
+    return res, Recognizer(res.algebra, rec.table, valuation, res.finals_image)
 
 
 def theta_class_recognizer(rec: Recognizer, t: Tree) -> Recognizer:
@@ -347,12 +338,6 @@ def _least_trees(rec: Recognizer, stop=frozenset()) -> dict:
             if node2 not in (least if j is None else words[j]):
                 heapq.heappush(heap, (d2, text2, next(tick), j, node2, kids2))
     return least
-
-
-def minimal_value_trees(rec: Recognizer) -> dict:
-    """For every reachable element, its least tree in (size, rendering)
-    order, from the one priority search of ``_least_trees``."""
-    return {a: t for a, (_, _, t) in _least_trees(rec).items()}
 
 
 def min_member(rec: Recognizer):
@@ -540,7 +525,7 @@ class _PumpingGraph:
         carrier size), plugged into contexts up its value's useful chain."""
         alg, value = self.alg, self.least
         if not value:
-            value.update(minimal_value_trees(self.rec))
+            value.update((a, t) for a, (_, _, t) in _least_trees(self.rec).items())
 
         def node(f, head, sub, tail):
             return Tree(f, tuple(value[a] for a in head) + sub + tuple(value[a] for a in tail))

@@ -50,11 +50,7 @@ def syntactic_algebra(alg: RegularAlgebra, subset) -> SyntacticResult:
 def _syntactic(alg: RegularAlgebra, H: frozenset, seed) -> SyntacticResult:
     """The syntactic algebra of H among the elements the seed generates (the
     rest of H is left out): one ``_refine``, the quotient read off its rows."""
-    return _syntactic_from(alg, H, *_refine(alg, H.__contains__, seed))
-
-
-def _syntactic_from(alg: RegularAlgebra, H: frozenset, theta: Partition, table) -> SyntacticResult:
-    """``_syntactic`` from the refinement it makes."""
+    theta, table = _refine(alg, H.__contains__, seed)
     quot = _quotient(alg, theta, table)
     morphism = {a: quot.elements[theta.class_index(a)] for a in theta.universe}
     return SyntacticResult(

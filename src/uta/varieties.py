@@ -29,14 +29,12 @@ from .partition import element_label
 from .recognizer import (
     Recognizer,
     RecognizerError,
+    _least_trees,
     _order_or_cycle,
     _PumpingGraph,
-    _syntactic_recognizer,
     _trim,
     complement,
-    minimal_value_trees,
 )
-from .syntactic import _syntactic_from
 from .trees import (
     HOLE_LEAF,
     Definite,
@@ -138,7 +136,7 @@ class VarietyVerdict:
 # Definiteness
 
 
-def _context_of_translation(provenance, value_trees: dict) -> Tree:
+def _context_of_translation(provenance, value_trees) -> Tree:
     """A context realizing a translation, rebuilt from its provenance word:
     each step (f, u, v) wraps the hole as f(u-trees, @, v-trees)."""
     ctx = HOLE_LEAF
@@ -151,9 +149,11 @@ def _context_of_translation(provenance, value_trees: dict) -> Tree:
     return ctx
 
 
-def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
-    """A context whose plugging distinguishes the classes a and b of the
-    syntactic recognizer; exists because its finals are disjunctive.
+def _separating_context(alg, finals, a, b, value_trees) -> Tree:
+    """A context whose plugging distinguishes the elements a and b of an
+    algebra whose accepting set ``finals`` is disjunctive: a syntactic
+    algebra, named (``RegularAlgebra``) or as the class machines of
+    ``algebra._class_algebra``.  ``value_trees[x]`` is a tree of value x.
 
     Breadth-first search over ordered carrier pairs from (a, b), stopping
     at the first pair the finals split, after at most |carrier|^2 pairs.
@@ -166,7 +166,6 @@ def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
     state pairs are searched once in all: O(|A|^2 * sum_f reach_f + sum_f
     |Q_f|^2 * |A|) steps, and no transition monoid is listed.
     """
-    alg, finals = srec.algebra, srec.finals
     if (a in finals) != (b in finals):
         return HOLE_LEAF
     # per operator: each state pair met, with its word from the start it was met from
@@ -176,9 +175,9 @@ def _separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
     while queue:
         pair = x, y = queue.popleft()
         for f, m, states, witness, seen in walks:
-            delta, out = m.delta, m.out
+            cx, cy, out = m.columns[x], m.columns[y], m.out
             for q in states:
-                for (p1, p2), v in _state_walk(m, (delta[q, x], delta[q, y]), seen):
+                for (p1, p2), v in _state_walk(m, (cx[q], cy[q]), seen):
                     nxt = out[p1], out[p2]
                     if nxt not in words:
                         words[nxt] = words[pair] + ((f, witness[q], v),)
@@ -308,19 +307,27 @@ def _pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
     return op(f, [s for s, _ in kids]), op(f, [t for _, t in kids])
 
 
-def _membership_counterexample(srec, calg, levels, level) -> tuple[Tree, Tree]:
+def _class_trees(rec: Recognizer, theta) -> list:
+    """Each class of theta's least tree in (size, rendering) order, theta a
+    congruence on the elements rec's trees reach: the least of its
+    elements' least trees, from one ``_least_trees`` on rec.  A tree has
+    one value, so this is the class's least tree in the syntactic
+    recognizer, and no quotient is built."""
+    least = _least_trees(rec)
+    return [min(map(least.__getitem__, b))[2] for b in theta.blocks]
+
+
+def _membership_counterexample(calg, finals, trees, levels, level) -> tuple[Tree, Tree]:
     """Two trees with equal depth-``level`` top segments and different
     membership: realize the first off-diagonal pair of R_level, then wrap
-    both sides in a context separating the two values.  Only a *no* reaches
-    here, so only a *no* builds words and least trees."""
-    value_trees = minimal_value_trees(srec)
-    names = srec.algebra.elements
+    both sides in a context separating the two classes (``finals`` the
+    accepted classes, ``trees`` each class's least tree)."""
     rel = levels[min(level, len(levels) - 1)]
     a = next(a for a, row in enumerate(rel) if row != 1 << a)
     offender = a, _bits(rel[a] & ~(1 << a))[0]
     prov = _pair_provenance(calg, levels, offender, level)
-    s, t = _pair_trees(prov, [value_trees[x] for x in names], offender, level)
-    p = _separating_context(srec, names[offender[0]], names[offender[1]], value_trees)
+    s, t = _pair_trees(prov, trees, offender, level)
+    p = _separating_context(calg, finals, *offender, trees)
     return plug(p, s), plug(p, t)
 
 
@@ -333,8 +340,10 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
     membership (for the unparameterized query, at the depth where the
     chain stabilized; no greater depth can help from there on).
 
-    The chain runs on the int machines of one ``_refine``; only a *no*
-    names the syntactic recognizer, from the same refinement.
+    The chain runs on the int machines of one ``_refine``.  A *no* reads
+    its trees off the same classes: the least tree of each
+    (``_class_trees``) and, past depth 0, a separating context on the
+    class machines; no quotient is named.
     """
     if k is not None and k < 0:
         raise ValueError("Definite needs k >= 0")
@@ -342,11 +351,10 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
     theta, table = _refine(alg, rec.finals.__contains__, rec.valuation.values())
     if theta.block_count <= 1:
         return VarietyVerdict("Def", True, "exact", parameter=0)
-    srec = lambda: _syntactic_recognizer(rec, _syntactic_from(alg, rec.finals, theta, table))[1]  # noqa: E731
+    finals = {c for c, b in enumerate(theta.blocks) if b[0] in rec.finals}  # the accepted classes
     if k == 0:
-        srec = srec()
-        V, value_trees = srec.algebra.elements, minimal_value_trees(srec)
-        pair = tuple(value_trees[next(a for a in V if (a in srec.finals) == side)] for side in (True, False))
+        trees = _class_trees(rec, theta)
+        pair = tuple(trees[next(c for c in range(len(trees)) if (c in finals) == side)] for side in (True, False))
         return VarietyVerdict("Def", False, "exact", counterexample=pair, detail="two trees with different membership exist")
     calg = _class_algebra(alg, theta, table)
     levels, (outcome, j) = _definite_chain(calg)
@@ -356,7 +364,7 @@ def decide_definite(rec: Recognizer, k: int | None = None) -> VarietyVerdict:
         detail = f"depth {k} is insufficient; depth {j} is the least"
     else:
         detail = f"chain stabilized above the diagonal at depth {j}"
-    s, t = _membership_counterexample(srec(), calg, levels, j if k is None else k)
+    s, t = _membership_counterexample(calg, finals, _class_trees(rec, theta), levels, j if k is None else k)
     return VarietyVerdict("Def", False, "exact", counterexample=(s, t), detail=detail)
 
 

@@ -23,11 +23,11 @@ from uta import (
     trim,
 )
 from uta import algebra, horizon, recognizer, varieties
-from uta.horizon import MachineError, reachable_with_witnesses, state_records
+from uta.horizon import MachineError, _state_walk, reachable_with_witnesses, state_records
 from uta.trees import KeyParts, TreeBank, check_bounds, parse_term
-from uta.recognizer import RecognizerError, minimal_value_trees
-from uta.trees import plug
-from uta.varieties import VarietyVerdict, _separating_context, kind_name
+from uta.recognizer import RecognizerError, _least_trees
+from uta.trees import HOLE_LEAF, plug
+from uta.varieties import VarietyVerdict, _context_of_translation, kind_name
 from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
 
@@ -511,6 +511,40 @@ def walked_definite_chain(srec: Recognizer, min_levels: int = 0):
             raise RecognizerError("definiteness chain failed to stabilize")
 
 
+def least_value_trees(rec: Recognizer) -> dict:
+    """Each reachable element's least tree in (size, rendering) order."""
+    return {a: t for a, (_, _, t) in _least_trees(rec).items()}
+
+
+def ref_separating_context(srec: Recognizer, a, b, value_trees: dict) -> Tree:
+    """A context whose plugging distinguishes the classes a and b of the
+    syntactic recognizer: breadth-first over ordered carrier pairs from (a,
+    b), each pair's edges from a breadth-first search over state pairs,
+    per operator and reachable state, read through ``delta``; the first
+    pair the finals split gives the context."""
+    alg, finals = srec.algebra, srec.finals
+    if (a in finals) != (b in finals):
+        return HOLE_LEAF
+    # per operator: each state pair met, with its word from the start it was met from
+    walks = [(f, alg.ops[f], *reachable_with_witnesses(alg.ops[f]), {}) for f in alg.sigma]
+    words = {(a, b): ()}
+    queue = deque([(a, b)])
+    while queue:
+        pair = x, y = queue.popleft()
+        for f, m, states, witness, seen in walks:
+            delta, out = m.delta, m.out
+            for q in states:
+                for (p1, p2), v in _state_walk(m, (delta[q, x], delta[q, y]), seen):
+                    nxt = out[p1], out[p2]
+                    if nxt not in words:
+                        words[nxt] = words[pair] + ((f, witness[q], v),)
+                        if (nxt[0] in finals) != (nxt[1] in finals):
+                            return _context_of_translation(words[nxt], value_trees)
+                        if nxt[0] != nxt[1]:  # an equal pair leads to equal pairs only
+                            queue.append(nxt)
+    raise RecognizerError("no separating context: finals not disjunctive")
+
+
 def ref_pair_trees(levels, value_trees, pair, level) -> tuple[Tree, Tree]:
     """Two trees realizing a related value pair, sharing their top ``level``
     segment by construction."""
@@ -534,14 +568,14 @@ def ref_membership_counterexample(srec, levels, level) -> tuple[Tree, Tree]:
     membership: realize the first off-diagonal value pair, then wrap both
     sides in a context separating the two values.  Only a *no* reaches
     here, so only a *no* builds the least trees."""
-    value_trees = minimal_value_trees(srec)
+    value_trees = least_value_trees(srec)
     pos = {a: i for i, a in enumerate(srec.algebra.elements)}
     offender = min(
         (ab for ab in levels[level] if ab[0] != ab[1]),
         key=lambda ab: (pos[ab[0]], pos[ab[1]]),
     )
     s, t = ref_pair_trees(levels, value_trees, offender, level)
-    p = _separating_context(srec, offender[0], offender[1], value_trees)
+    p = ref_separating_context(srec, offender[0], offender[1], value_trees)
     return plug(p, s), plug(p, t)
 
 
@@ -563,7 +597,7 @@ def ref_decide_definite(rec: Recognizer, k: int | None = None, srec=None) -> Var
     if k == 0:
         finals = [a for a in V if a in srec.finals]
         non = [a for a in V if a not in srec.finals]
-        value_trees = minimal_value_trees(srec)
+        value_trees = least_value_trees(srec)
         return VarietyVerdict(
             "Def",
             False,

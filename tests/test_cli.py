@@ -508,6 +508,17 @@ def test_check_gmorphism_and_product(capsys):
     assert code == 0 and "elements: e0 e1 e2 e3;" in out
 
 
+def test_product_refuses_a_bad_kappa(capsys):
+    """--kappa is read as --iota and --phi are, then split per factor."""
+    for kappa, message in (
+        ("f -> f f, g g", "bad --kappa entry 'g g' (want 'a -> b')"),
+        ("f -> f f, g -> g", "kappa(g) must pick one operator per factor"),
+    ):
+        got = run(capsys, "-w", str(FIXTURES / "root.uta"), "product",
+                  "--alg", "rootalg", "--alg2", "rootalg", "--kappa", kappa)
+        assert got == (2, "", f"error: {message}\n")
+
+
 def test_class_of_and_empty(capsys):
     code, out, _ = run(
         capsys, "-w", str(FIXTURES / "parity.uta"), "class-of", "--rec", "parity-odd", "x"

@@ -51,7 +51,6 @@ from uta.recognizer import (
     _pair_recognizer,
     _PumpingGraph,
     _trim,
-    minimal_value_trees,
     size_at_least_recognizer,
 )
 from uta.trees import _NAME_RE, Tree, TreeBank, leaf, subtrees
@@ -67,6 +66,7 @@ from helpers import (
     contains_x,
     counted_closures,
     empty_rec,
+    least_value_trees,
     parity_odd,
     random_algebra,
     random_recognizer,
@@ -457,7 +457,7 @@ def test_minimal_value_trees_match_the_rerendering_reference():
     rng = random.Random(5004)
     for _ in range(200):
         rec = draw(rng, max_elements=5, max_states=4)
-        got, want = minimal_value_trees(rec), rerendering_minimal_value_trees(rec)
+        got, want = least_value_trees(rec), rerendering_minimal_value_trees(rec)
         assert {a: size(t) for a, t in got.items()} == {a: size(t) for a, t in want.items()}
 
 
@@ -468,7 +468,7 @@ def test_minimal_value_trees_are_the_least_trees():
     changed = 0
     for _ in range(500):
         rec = draw(rng, max_elements=5, max_states=4)
-        got = {a: render(t) for a, t in minimal_value_trees(rec).items() if size(t) <= 5}
+        got = {a: render(t) for a, t in least_value_trees(rec).items() if size(t) <= 5}
         assert got == least_trees_up_to_5(rec)
         changed += got != {
             a: render(t) for a, t in rerendering_minimal_value_trees(rec).items() if size(t) <= 5
@@ -755,7 +755,7 @@ def test_decide_nil_lists_no_member(monkeypatch):
         raise AssertionError("a nil verdict lists no member")
 
     for owner, name in ((_PumpingGraph, "members"), (_PumpingGraph, "pump"),
-                        (recognizer, "minimal_value_trees"), (varieties, "minimal_value_trees")):
+                        (recognizer, "_least_trees"), (varieties, "_least_trees")):
         monkeypatch.setattr(owner, name, refuse)
     refuse_walks(monkeypatch)
     closures = counted_closures(monkeypatch)

@@ -19,6 +19,7 @@ from uta import (
 )
 from uta.horizon import (
     MachineError,
+    _breadth_first,
     _state_walk,
     reachable_with_witnesses,
 )
@@ -413,7 +414,8 @@ def test_a_shared_map_walks_only_what_the_first_starts_left():
 def test_walks_match_the_searches_they_replaced():
     targets = 0
     for rng, m, q, letters in walk_draws(20261021, 400):
-        assert reachable_with_witnesses(m, letters) == ref_reachable_with_witnesses(m, letters)
+        words = _breadth_first(m.start, lambda q: [m.delta[q, a] for a in letters], letters)
+        assert (tuple(words), words) == ref_reachable_with_witnesses(m, letters)
         assert reachable_with_witnesses(m) == ref_reachable_with_witnesses(m)
         states, words = ref_reachable_with_witnesses(replace(m, start=q), letters)
         assert list(_state_walk(m, (q,), {}, letters)) == [((p,), words[p]) for p in states]

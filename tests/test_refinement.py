@@ -29,10 +29,10 @@ from uta import (
 from uta.algebra import _refine
 from uta.horizon import reachable_with_witnesses
 from uta.oracle import BruteUniverse, brute_syntactic_partition, make_universe
-from uta.recognizer import minimal_value_trees
 from uta.varieties import VarietyVerdict, _context_of_translation, _separating_context
 
 from helpers import (
+    least_value_trees,
     random_algebra,
     random_machine,
     random_recognizer,
@@ -105,9 +105,9 @@ def test_refinement_matches_the_monoid_scans():
         finals = frozenset(a for a in alg.elements if rng.random() < 0.5)
         rec = Recognizer(alg, table, valuation, finals)
         _res, srec = syntactic_of(rec)
-        value_trees = minimal_value_trees(srec)
+        value_trees = least_value_trees(srec)
         for a, b in combinations(srec.algebra.elements, 2):
-            p = _separating_context(srec, a, b, value_trees)
+            p = _separating_context(srec.algebra, srec.finals, a, b, value_trees)
             assert p == monoid_separating_context(srec, a, b, value_trees)
             assert membership(rec, plug(p, value_trees[a])) != membership(
                 rec, plug(p, value_trees[b])
@@ -140,10 +140,10 @@ def test_syntactic_partition_equals_the_oracle(seed):
     uni = _universe(rec.table)
     _res, srec = syntactic_of(rec)
     computed = Partition.from_key(uni.trees, lambda t: eval_of(srec, t))
-    value_trees = minimal_value_trees(srec)
+    value_trees = least_value_trees(srec)
     values = [eval_of(srec, b[0]) for b in computed.blocks]
     extra = tuple(
-        _separating_context(srec, a, b, value_trees) for a, b in combinations(values, 2)
+        _separating_context(srec.algebra, srec.finals, a, b, value_trees) for a, b in combinations(values, 2)
     )
     brute = brute_syntactic_partition(rec, BruteUniverse(uni.trees, uni.contexts + extra))
     assert computed.blocks == brute.blocks

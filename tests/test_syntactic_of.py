@@ -65,7 +65,7 @@ def ref_closure(alg, omega, seed):
         changed = False
         letters = [a for a in alg.elements if a in current]
         for f in omega:
-            states, _ = reachable_with_witnesses(alg.ops[f], letters)
+            states, _ = ref_reachable_with_witnesses(alg.ops[f], letters)
             for q in states:
                 b = alg.ops[f].out[q]
                 if b not in current:
@@ -147,7 +147,7 @@ def ref_quotient(alg, theta, state_classes):
     for i, f in enumerate(alg.sigma):
         m = alg.ops[f]
         reps: dict = {}
-        for q in reachable_with_witnesses(m, firsts)[0]:
+        for q in ref_reachable_with_witnesses(m, firsts)[0]:
             reps.setdefault(state_classes[(i, q)], q)
         qname = {c: f"q{n}" for n, c in enumerate(reps)}
         delta = {

@@ -17,7 +17,7 @@ from uta import (
     translation_walk,
     trim,
 )
-from uta import algebra, recognizer
+from uta import algebra, recognizer, varieties
 from uta.algebra import elementary_translations
 from uta.workspace import load_workspace
 
@@ -141,7 +141,8 @@ def test_decide_definite_builds_least_trees_for_a_no_only(monkeypatch):
         searches.append(rec)
         return least(rec)
 
-    monkeypatch.setattr(recognizer, "_least_trees", counted_least)
+    for mod in (recognizer, varieties):
+        monkeypatch.setattr(mod, "_least_trees", counted_least)
     rng = random.Random(1912)
     draws = [untrimmed_recognizer(rng, rng.randint(2, 5), rng.randint(1, 4)) for _ in range(100)]
     answers = {True: 0, False: 0}

@@ -487,19 +487,20 @@ def _reference_probe(rec, kind, bounds, memo):
 
     ``memo`` keeps what the calls share: the table's trees within the
     largest bounds, their keys per kind and the recognizer's values, each
-    computed when first needed."""
+    computed when first needed.  A key is kept as an int, one per distinct
+    key of its table and kind, so a group lookup hashes no tree."""
     largest = max(PROBE_BOUNDS)
     trees = _memo(memo, rec.table, lambda: tuple(enumerate_trees(rec.table, *largest)))
     position = _memo(memo, (rec.table, "position"), lambda: {t: n for n, t in enumerate(trees)})
     within = _memo(memo, (rec.table, bounds), lambda: [position[t] for t in enumerate_trees(rec.table, *bounds)])
-    keys = _memo(memo, (rec.table, kind), dict)
+    keys, ids = _memo(memo, (rec.table, kind), lambda: ({}, {}))  # tree -> key id, key -> id
     values = _memo(memo, id(rec), dict)
     _res, srec = syntactic_of(rec)
     params = dict(bounds=bounds, parameter=getattr(kind, "k", None), low_parameter=getattr(kind, "h", None))
     groups: dict = {}
     for n in within:
         t = trees[n]
-        key = _memo(keys, n, lambda: abstraction_key(t, kind))
+        key = _memo(keys, n, lambda: ids.setdefault(abstraction_key(t, kind), len(ids)))
         v = _memo(values, n, lambda: eval_of(srec, t))
         if key in groups:
             t0, v0 = groups[key]
