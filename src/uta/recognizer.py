@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import operator
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, product
@@ -22,7 +23,6 @@ from .horizon import MooreMachine, _breadth_first, _state_walk, state_records
 from .syntactic import SyntacticResult, _syntactic
 from .trees import (
     HOLE,
-    _TOKENS_RE,
     SymbolTable,
     TermGMorphism,
     Tree,
@@ -72,13 +72,21 @@ def membership(rec: Recognizer, t: Tree) -> bool:
 
 
 def _group_value(group: str, starts: dict, values: dict):
-    """Value of an innermost group ``f(a,b,...)`` read off its text, kept in
-    ``values`` under that text; KeyError on a head that is no operator (or a
-    token that is no group) or a child that is no name of the table."""
+    """Value of a group ``f(...)`` read off its text, kept in ``values``
+    under that text: its children are all names (an innermost group) or all
+    innermost groups, each read from ``values`` or worked out in turn.
+    KeyError on a head that is no operator (or a token that is no group) or
+    a child that is no name of the table."""
     head, _, body = group.partition("(")
     state = starts[head]
-    for child in body[:-1].split(","):
-        state = state[0][values[child]]
+    if "(" in body:
+        # the pattern checked the shape: every child ends at its "),"
+        for child in body[:-2].split("),"):
+            child += ")"
+            state = state[0][values[child] if child in values else _group_value(child, starts, values)]
+    else:
+        for child in body[:-1].split(","):
+            state = state[0][values[child]]
     values[group] = state[1]
     return state[1]
 
@@ -87,8 +95,9 @@ def _token_value(tokens: list, starts: dict, values: dict):
     """Value of the term the tokens spell (end marker None); KeyError or
     IndexError on an unknown or misplaced token or a letter with no row.
     Each open node is a state of its machine; its parent reads a finished
-    child at once.  A name or an innermost group is one token, its value
-    read from ``values`` (names first, groups kept there once read)."""
+    child at once.  A name or a group written without spaces is one token,
+    its value read from ``values`` (names first, groups kept there once
+    read)."""
     frames = []  # the states of the enclosing open nodes
     state = None  # the state of the innermost open node
     i = 0
@@ -100,10 +109,7 @@ def _token_value(tokens: list, starts: dict, values: dict):
             state = starts[tok]
             i += 1
             continue
-        try:
-            value = values[tok]
-        except KeyError:
-            value = _group_value(tok, starts, values)
+        value = values[tok] if tok in values else _group_value(tok, starts, values)
         # a finished node: its parent reads it, closing every node it ends
         while state is not None:
             state = state[0][value]
@@ -122,10 +128,16 @@ def _token_value(tokens: list, starts: dict, values: dict):
     return value
 
 
-# an innermost group without spaces first, as one token; then those of
-# ``_tokenize``; then any other character but a space, which no term holds
+# A name, or a group written without spaces as one token: an innermost
+# group, or a group whose children are all innermost groups; else any other
+# character but a space, which no term holds.  Each name is matched once;
+# the possessive quantifiers of Python 3.11 keep a matched run from being
+# retried (they match the same tokens, only sooner).
+_RUN = "*+" if sys.version_info >= (3, 11) else "*"
+_NAME_RUN = rf"[A-Za-z_][A-Za-z0-9_]{_RUN}"
+_INNERMOST = rf"{_NAME_RUN}\([A-Za-z0-9_,]{_RUN}\)"
 _GROUPED_TOKENS_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)|" + _TOKENS_RE.pattern + r"|[^ \t\r\n]"
+    rf"{_NAME_RUN}(?:\((?:[A-Za-z0-9_,]{_RUN}\)|{_INNERMOST}(?:,{_INNERMOST}){_RUN}\)))?|[^ \t\r\n]"
 )
 
 
@@ -134,13 +146,13 @@ def text_evaluator(rec: Recognizer):
     ``(eval_of(rec, t), render(t))`` for ``t = parse_term(text, rec.table)``
     but read in one pass over the tokens, with no tree built: each machine
     state is a (row, output) pair whose row maps a letter to the next state,
-    and the canonical text is the text without its spaces.  An innermost
-    group ``f(a,b,...)`` written without spaces is one token, and its value
-    is kept by its text for the life of the function, so a group seen before
-    costs one lookup.  Every character but a space lands in some token, and
-    one that is in no term fails the lookups; text that is no term over the
-    table goes through ``parse_term`` and ``eval_of``, so every error is
-    theirs."""
+    and the canonical text is the text without its spaces.  A group written
+    without spaces, innermost (``f(a,b)``) or of innermost groups
+    (``g(f(a),f(b))``), is one token, and its value is kept by its text for
+    the life of the function, so a group seen before costs one lookup.
+    Every character but a space lands in some token, and one that is in no
+    term fails the lookups; text that is no term over the table goes through
+    ``parse_term`` and ``eval_of``, so every error is theirs."""
     starts, values = {}, dict(rec.valuation)
     for f in rec.table.operators:
         m = rec.algebra.ops[f]
@@ -151,10 +163,14 @@ def text_evaluator(rec: Recognizer):
         tokens = _GROUPED_TOKENS_RE.findall(text)
         tokens.append(None)
         try:
-            # any other space would be a token, so split drops only " \t\r\n"
-            return _token_value(tokens, starts, values), "".join(text.split())
+            value = _token_value(tokens, starts, values)
         except (KeyError, IndexError):
             pass  # no term: the reference path raises its own error
+        else:
+            # any other space would be a token, so only " \t\r\n" can be left
+            if " " in text or "\t" in text or "\r" in text or "\n" in text:
+                text = "".join(text.split())
+            return value, text
         t = parse_term(text, rec.table)
         return eval_of(rec, t), render(t)
 

@@ -36,15 +36,18 @@ _TOKEN = re.compile(_NAME + r"|->|[{};:,()@]")
 _PUNCTUATION = frozenset(["->", *"{};:,()@"])  # every other token is a name
 # a comment runs up to the next line break that str.splitlines knows
 _COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
-# A '->' list of one- or two-name keys, its tokens joined by spaces with one
-# after each: the whole list, commas between entries, and then one entry.
-_ARROW_LISTS = {
-    width: (
-        re.compile(rf"(?:, )*(?:(?:{_NAME} ){{{width}}}-> {_NAME} (?:, )*)*"),
-        re.compile(" ".join([f"({_NAME})"] * width) + rf" -> ({_NAME}) "),
-    )
+# a name as _TOKEN cuts it: no name character, nor '-' and one, follows it
+_WORD = rf"(?:{_NAME})(?![A-Za-z0-9_]|-[A-Za-z0-9_])"
+# A field's list of names and '->'s, from its ':' to its ';', is one token;
+# any other text is cut by _TOKEN, and a character no token holds gives an
+# empty one.
+_LIST_TOKEN = re.compile(rf":[\s,]*(?:(?:{_WORD}|->)[\s,]*)*;|{_TOKEN.pattern}|(?=\S)")
+# An entry of a '->' list of one- or two-name keys, each name a group
+_ARROW_ENTRY = {
+    width: re.compile(r"\s+".join([f"({_WORD})"] * width) + rf"\s*->\s*({_WORD})")
     for width in (1, 2)
 }
+_ONE_NAME = re.compile(rf"\s*({_NAME})\s*")
 
 
 class WorkspaceError(ValueError):
@@ -70,15 +73,18 @@ class Workspace:
 class _Tokens:
     def __init__(self, text: str, path: str):
         """The tokens of the text, comments stripped, as one flat list read
-        by one ``findall``; ``idx`` is the next one to read.  A token's line
-        is worked out from its index only when a message needs it.  Text the
-        tokens do not cover goes through the per-line scan of ``items``,
-        which reports the fault."""
+        by one ``findall``; a field's list of names, from its ':' to its
+        ';', is one token (``list_body``), and None ends the list.  ``idx``
+        is the next one to read.  A token's line is worked out from its
+        index only when a message needs it.  Text the tokens do not cover
+        (an empty token) goes through the per-line scan of ``items``, which
+        reports the fault."""
         self.path = path
         self.text = _COMMENT.sub("", text)
-        self.tokens = _TOKEN.findall(self.text)
-        if "".join(self.tokens) != "".join(self.text.split()):
+        self.tokens = _LIST_TOKEN.findall(self.text)
+        if "" in self.tokens:
             self.items  # the per-line scan raises at the fault
+        self.tokens.append(None)
         self.idx = 0
 
     @functools.cached_property
@@ -99,17 +105,22 @@ class _Tokens:
 
     def error(self, message, i=None):
         """A fault at the token at index ``i``: the next one by default, the
-        last one past the end."""
-        i = min(self.idx if i is None else i, len(self.tokens) - 1)
-        return WorkspaceError(message, self.path, self.items[i][1] if self.tokens else 1)
+        last one past the end.  A list read as one token stands for the
+        tokens of ``items`` it holds."""
+        i = self.idx if i is None else i
+        i += sum(len(_TOKEN.findall(tok)) - 1 for tok in self.tokens[:i] if tok[0] == ":")
+        return WorkspaceError(message, self.path, self.items[min(i, len(self.items) - 1)][1] if self.items else 1)
 
     def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
+        return self.tokens[self.idx]
 
     def take(self, expected=None):
-        if self.idx >= len(self.tokens):
-            raise self.error(f"unexpected end of file (wanted {expected!r})")
         tok = self.tokens[self.idx]
+        if tok is None:
+            raise self.error(f"unexpected end of file (wanted {expected!r})")
+        if tok[0] == ":" and tok != ":":  # a list, met where one token is read
+            self.tokens[self.idx : self.idx + 1] = _TOKEN.findall(tok)
+            tok = ":"
         if expected is not None and tok != expected:
             raise self.error(f"expected {expected!r}, got {tok!r}")
         self.idx += 1
@@ -121,12 +132,12 @@ class _Tokens:
             raise self.error(f"expected {what}, got {tok!r}", self.idx - 1)
         return tok
 
-    def end_of_list(self):
-        """The index of the next ';', or None if none is left."""
-        try:
-            return self.tokens.index(";", self.idx)
-        except ValueError:
-            return None
+    def list_body(self):
+        """The text between the ':' and the ';' of the next token if it is a
+        list read as one token, else None; nothing is taken.  A list that is
+        not read whole is read token by token from ``take(':')`` on."""
+        tok = self.peek()
+        return tok[1:-1] if tok is not None and tok[0] == ":" and tok != ":" else None
 
 
 def _fields(toks: _Tokens, what="field"):
@@ -139,15 +150,14 @@ def _fields(toks: _Tokens, what="field"):
 
 
 def _names(toks: _Tokens) -> list:
-    """The names of a list up to its ';', which is taken; commas between
-    them are optional.  The list is read as one slice; one that fails the
-    check is read again token by token, which reports its fault."""
-    end = toks.end_of_list()
-    if end is not None:
-        names = [tok for tok in toks.tokens[toks.idx : end] if tok != ","]
-        if _PUNCTUATION.isdisjoint(names):
-            toks.idx = end + 1
-            return names
+    """The names of a field's list, its ':' and ';' taken; commas between
+    them are optional.  A list read as one token is split at once; else, or
+    if it holds a '->', it is read token by token, which reports the fault."""
+    body = toks.list_body()
+    if body is not None and "->" not in body:
+        toks.idx += 1
+        return body.replace(",", " ").split()
+    toks.take(":")
     names = []
     while toks.peek() is not None and toks.peek() != ";":
         if toks.peek() == ",":
@@ -159,24 +169,27 @@ def _names(toks: _Tokens) -> list:
 
 
 def _arrows(toks: _Tokens, into: dict, duplicate: str, left, right):
-    """Reads the ``left... -> right`` entries of a list up to its ';', which
-    is taken, into ``into``, keyed by the left name or the pair of them;
+    """Reads the ``left... -> right`` entries of a field's list, its ':' and
+    ';' taken, into ``into``, keyed by the left name or the pair of them;
     commas between entries are optional.  ``left`` says what each name
     before the arrow is, ``right`` what the name after it is, or None for
     a term.  A key already in ``into`` raises ``duplicate % key``.  A list
-    of names is read as one slice; a term list, or a slice that fails the
-    check or repeats a key, is read token by token, which reports the fault."""
-    end = toks.end_of_list() if right else None
-    if end is not None:
-        whole, entry = _ARROW_LISTS[len(left)]
-        text = " ".join(toks.tokens[toks.idx : end]) + " "
-        if whole.fullmatch(text):
-            found = entry.findall(text)
-            entries = dict(found) if len(left) == 1 else {(q, a): r for q, a, r in found}
-            if len(entries) == len(found) and into.keys().isdisjoint(entries):
-                into.update(entries)
-                toks.idx = end + 1
-                return
+    of names read as one token is cut at its entries by one ``split``; a
+    term list, or a list with more than commas and spaces between entries
+    or with a repeated key, is read token by token, which reports the fault."""
+    body = toks.list_body()
+    if body is not None and right:
+        # [between, key name(s), value, between, ...]: stride len(left) + 2
+        width = len(left)
+        parts = _ARROW_ENTRY[width].split(body)
+        keys = parts[1::3] if width == 1 else list(zip(parts[1::4], parts[2::4]))
+        entries = dict(zip(keys, parts[width + 1 :: width + 2]))
+        between = "".join(parts[:: width + 2]).replace(",", " ")
+        if len(entries) == len(keys) and not between.strip() and into.keys().isdisjoint(entries):
+            into.update(entries)
+            toks.idx += 1
+            return
+    toks.take(":")
     while (tok := toks.peek()) != ";":
         if tok == ",":
             toks.take(",")
@@ -195,24 +208,36 @@ def _arrows(toks: _Tokens, into: dict, duplicate: str, left, right):
 
 def _parse_machine_body(toks: _Tokens, elements, opname, opat):
     """The machine of an ``op`` body; faults found after the body are
-    reported at the ``op`` line."""
+    reported at the ``op`` line.  ``MooreMachine`` checks the maps once;
+    only a machine it refuses goes through the loader's own checks, which
+    name the fault first, in their order."""
     states = []
     start = None
     out = {}
     delta = {}
     for key, at in _fields(toks, "machine field"):
-        toks.take(":")
         if key == "states":
             states = _names(toks)
         elif key == "start":
-            start = toks.take_name()
-            toks.take(";")
+            body = toks.list_body()
+            if body is not None and (one := _ONE_NAME.fullmatch(body)):
+                toks.idx += 1
+                start = one[1]
+            else:
+                toks.take(":")
+                start = toks.take_name()
+                toks.take(";")
         elif key == "out":
             _arrows(toks, out, "duplicate output for state %s", ("state",), "element")
         elif key == "delta":
             _arrows(toks, delta, "duplicate transition (%s, %s)", ("state", "letter"), "state")
         else:
+            toks.take(":")  # a field lacking its ':' is refused for that first
             raise toks.error(f"unknown machine field {key!r}", at)
+    try:
+        return MooreMachine(tuple(states), tuple(elements), start, delta, out)
+    except MachineError as e:
+        fault = e
     if not states:
         raise toks.error(f"op {opname}: no states", opat)
     if start is None:
@@ -231,20 +256,12 @@ def _parse_machine_body(toks: _Tokens, elements, opname, opat):
         raise toks.error(
             f"op {opname}: transition ({q}, {a}) uses an unknown state or letter", opat
         )
-    try:
-        return MooreMachine(tuple(states), tuple(elements), start, delta, out)
-    except MachineError as e:
-        raise toks.error(f"op {opname}: {e}", opat) from e
-
-
-def _parse_field_value(toks: _Tokens):
-    toks.take(":")
-    return _names(toks)
+    raise toks.error(f"op {opname}: {fault}", opat) from fault
 
 
 def _parse_reference(toks: _Tokens, where, key, at):
     """The one name a ``key: name;`` field refers to."""
-    names = _parse_field_value(toks)
+    names = _names(toks)
     if len(names) != 1:
         problem = "empty" if not names else f"{len(names)} names in"
         raise toks.error(f"{where}: {problem} {key!r} field", at)
@@ -288,8 +305,8 @@ def _register(ws_dict, kind, name, value, toks, at):
 def _load_text(ws: Workspace, text: str, path: str):
     """Adds the sections of the text to ``ws``.  Section and field headers
     are taken token by token, each list of names or of ``->`` entries as one
-    slice up to its ';'; positions are token indices, turned into lines only
-    for an error."""
+    token from its ':' to its ';'; positions are token indices, turned into
+    lines only for an error."""
     toks = _Tokens(text, path)
     while toks.peek() is not None:
         section = toks.take_name("section")
@@ -299,7 +316,7 @@ def _load_text(ws: Workspace, text: str, path: str):
         if section == "symbols":
             operators, leaves = [], []
             for key, kat in _fields(toks):
-                values = _parse_field_value(toks)
+                values = _names(toks)
                 if key == "operators":
                     operators = values
                 elif key == "leaves":
@@ -319,7 +336,7 @@ def _load_text(ws: Workspace, text: str, path: str):
                 if key == "symbols":
                     symref = _parse_reference(toks, where, key, kat)
                 elif key == "elements":
-                    elements = _parse_field_value(toks)
+                    elements = _names(toks)
                 elif key == "op":
                     opname = toks.take_name("operator")
                     opat = toks.idx - 1
@@ -357,9 +374,8 @@ def _load_text(ws: Workspace, text: str, path: str):
                 if key == "algebra":
                     algref = _parse_reference(toks, where, key, kat)
                 elif key == "finals":
-                    finals = _parse_field_value(toks)
+                    finals = _names(toks)
                 elif key == "valuation":
-                    toks.take(":")
                     _arrows(toks, valuation, "duplicate valuation for %s", ("leaf",), "element")
                 else:
                     raise toks.error(f"unknown recognizer field {key!r}", kat)
@@ -385,10 +401,8 @@ def _load_text(ws: Workspace, text: str, path: str):
                 elif key == "to":
                     dst = _parse_reference(toks, where, key, kat)
                 elif key == "iota":
-                    toks.take(":")
                     _arrows(toks, iota, "duplicate iota for %s", ("operator",), "operator")
                 elif key == "alpha":
-                    toks.take(":")
                     _arrows(toks, alpha_text, "duplicate alpha for %s", ("leaf",), None)
                 else:
                     raise toks.error(f"unknown gmorphism field {key!r}", kat)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import weakref
 from collections import deque
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from uta import (
 )
 from uta import algebra, horizon, recognizer, varieties
 from uta.horizon import MachineError, _state_walk, reachable_with_witnesses, state_records
-from uta.trees import KeyParts, TreeBank, check_bounds, parse_term
+from uta.trees import KeyParts, TreeBank, check_bounds, parse_term, render
 from uta.recognizer import RecognizerError, _least_trees
 from uta.trees import HOLE_LEAF, plug
 from uta.varieties import VarietyVerdict, _context_of_translation, kind_name
@@ -1141,3 +1142,76 @@ def _ref_load_text(ws: Workspace, text: str, path: str):
             _ref_register(ws.gmorphisms, "gmorphism", name, m, path, line)
         else:
             raise WorkspaceError(f"unknown section {section!r}", path, line)
+
+
+# ---------------------------------------------------------------------------
+# The text evaluator as it read before groups of innermost groups were one
+# token: a name or an innermost group written without spaces per token.
+
+_REF_GROUPED_TOKENS_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)|[A-Za-z_][A-Za-z0-9_]*|[(),@]|[^ \t\r\n]"
+)
+
+
+def _ref_group_value(group: str, starts: dict, values: dict):
+    head, _, body = group.partition("(")
+    state = starts[head]
+    for child in body[:-1].split(","):
+        state = state[0][values[child]]
+    values[group] = state[1]
+    return state[1]
+
+
+def _ref_token_value(tokens: list, starts: dict, values: dict):
+    frames = []
+    state = None
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tokens[i] == "(":
+            frames.append(state)
+            state = starts[tok]
+            i += 1
+            continue
+        try:
+            value = values[tok]
+        except KeyError:
+            value = _ref_group_value(tok, starts, values)
+        while state is not None:
+            state = state[0][value]
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                raise KeyError(tok)
+            value = state[1]
+            state = frames.pop()
+        else:
+            break
+    if tokens[i] is not None:
+        raise KeyError(tokens[i])
+    return value
+
+
+def ref_text_evaluator(rec: Recognizer):
+    """``(value, canonical text)`` of term text, each innermost group kept
+    by its text; text that is no term goes through ``parse_term``."""
+    starts, values = {}, dict(rec.valuation)
+    for f in rec.table.operators:
+        m = rec.algebra.ops[f]
+        starts[f] = state_records(m)[m.start]
+        values[f] = m.out[m.start]
+
+    def evaluate(text: str) -> tuple:
+        tokens = _REF_GROUPED_TOKENS_RE.findall(text)
+        tokens.append(None)
+        try:
+            return _ref_token_value(tokens, starts, values), "".join(text.split())
+        except (KeyError, IndexError):
+            pass
+        t = parse_term(text, rec.table)
+        return recognizer.eval_of(rec, t), render(t)
+
+    return evaluate

@@ -4,8 +4,9 @@
 reference is the path ``uta recognize`` and ``uta eval`` took before it:
 ``parse_term``, then ``eval_of``, then ``render``.  On valid text, spaced
 at random, the one-pass reader must give the reference's value and
-canonical text without falling back to it, reading each innermost group it
-has seen before from its memo; on malformed text it must raise the
+canonical text without falling back to it, reading each group it has seen
+before from its memo (an innermost group, or a group of innermost groups,
+written without spaces); on malformed text it must raise the
 reference's exception with the same message.  The CLI commands must print
 and exit as the reference commands do.
 """
@@ -28,7 +29,7 @@ from uta.recognizer import eval_of, membership, size_at_least_recognizer, text_e
 from uta.trees import TermError, _tokenize, parse_term, render
 from uta.workspace import load_workspace
 
-from helpers import random_tree
+from helpers import random_tree, ref_text_evaluator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WORKSPACES = {
@@ -64,7 +65,21 @@ def spaced(rng, tokens):
     return "".join(rng.choice(SPACES) + tok for tok in tokens) + rng.choice(SPACES)
 
 
-INNERMOST_GROUP = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)")
+INNERMOST = r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_,]*\)"
+INNERMOST_GROUP = re.compile(INNERMOST)
+# a group without spaces whose children are all innermost groups, or else
+# an innermost group: the units the evaluator keeps in its memo
+MEMO_UNIT = re.compile(rf"[A-Za-z_][A-Za-z0-9_]*\((?:{INNERMOST},)*{INNERMOST}\)|{INNERMOST}")
+
+
+def memo_units(text):
+    """Each group the evaluator works out once: every unit, and the
+    innermost groups inside a group of them."""
+    units = set()
+    for m in MEMO_UNIT.finditer(text):
+        units.add(m[0])
+        units.update(INNERMOST_GROUP.findall(m[0]))
+    return units
 
 
 def valid_text(rng, rec):
@@ -102,8 +117,9 @@ def test_valid_terms_are_read_in_one_pass(n, name):
             mock.patch("uta.recognizer._group_value", group_value):
         evaluate = text_evaluator(rec)
         got = evaluate(text)
-        # each distinct group is worked out once, its repeats read off the memo
-        assert group_value.call_count == len(set(INNERMOST_GROUP.findall(text)))
+        # each distinct memoized group is worked out once, its repeats (and
+        # a group of groups' children seen before) read off the memo
+        assert group_value.call_count == len(memo_units(text))
         assert evaluate(canonical) == got
     assert got == want
     assert (got[0] in rec.finals) == membership(rec, parse_term(text, rec.table))
@@ -205,6 +221,88 @@ def test_each_evaluator_keeps_its_own_groups():
             assert evaluate(text) == (eval_of(rec, t), render(t))
             values.append(evaluate(text)[0])
         assert values[1] != values[2] or text == "f(x,f)"
+
+
+def _group_of(f, kids):
+    return f + "(" + ",".join(kids) + ")"
+
+
+def _groups_of_groups(rec):
+    """Groups over the table whose children are all innermost groups."""
+    ops = st.sampled_from(rec.table.operators)
+    names = st.sampled_from(rec.table.operators + rec.table.leaves)
+    innermost = st.builds(_group_of, ops, st.lists(names, min_size=1, max_size=3))
+    return st.builds(_group_of, ops, st.lists(innermost, min_size=1, max_size=3))
+
+
+@given(st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_repeated_groups_of_groups_read_as_the_tree_pipeline_reads_them(data):
+    # terms over a small pool of groups of innermost groups, each one
+    # written without spaces (one memo unit) or spaced (read token by token)
+    rec = RECS[data.draw(st.sampled_from(sorted(RECS)))]
+    pool = data.draw(st.lists(_groups_of_groups(rec), min_size=1, max_size=3))
+    rng = data.draw(st.randoms(use_true_random=False))
+    kids = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        kid = rng.choice(pool)
+        if rng.random() < 0.3:
+            kid = _group_of(rng.choice(rec.table.operators), rng.choices(pool, k=rng.randint(1, 3)))
+        kids.append(spaced(rng, _tokenize(kid)) if rng.random() < 0.3 else kid)
+    text = _group_of(rng.choice(rec.table.operators), kids)
+    with mock.patch("uta.recognizer.parse_term", side_effect=AssertionError("fell back")):
+        evaluate = text_evaluator(rec)
+        got = [evaluate(text), evaluate(text), evaluate("".join(text.split()))]
+    assert got == [reference(rec, text)] * 3
+
+
+def _xml_line(rng):
+    """A document of the xmldoc schema, at times with one defect in it."""
+    invoices = [["line(text)"] * rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+    inv = invoices[rng.randrange(len(invoices))]
+    defect = rng.choice(["", "", "line(text,text)", "line", "text", "line()", "line(zz)"])
+    if defect:
+        inv.insert(rng.randrange(len(inv) + 1), defect)
+    return "invoices(" + ",".join("invoice(" + ",".join(lines) + ")" for lines in invoices) + ")"
+
+
+def _bool_line(rng, depth=4):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["zero", "one"])
+    kids = [_bool_line(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return rng.choice(["and", "or"]) + ("(" + ",".join(kids) + ")" if kids else "")
+
+
+def test_corpus_style_files_read_as_the_parent_evaluator_reads_them():
+    # one evaluator per file, as `uta recognize` makes it, so the memo
+    # carries from line to line; each line at times corrupted by one edit
+    rng = random.Random(20261021)
+    files = [("xmldoc", _xml_line)] * 30 + [("booltrue", _bool_line)] * 30
+    seen = set()
+    for name, line in files:
+        rec = RECS[name]
+        evaluate, parent = text_evaluator(rec), ref_text_evaluator(rec)
+        for _ in range(20):
+            text = line(rng)
+            if rng.random() < 0.2:
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice(["(", ")", ",", "", " ", "zz", "line(text)"]) + text[i + rng.randint(0, 1):]
+            got = outcome(evaluate, text)
+            assert got == outcome(parent, text), text
+            seen.add(got[0])
+    assert seen == {"ok", TermError}
+
+
+def test_the_pattern_without_possessive_runs_reads_the_same_tokens():
+    # Python 3.10 has no possessive quantifiers, so there the pattern is
+    # built with plain runs; both must cut every text alike
+    pattern = uta.recognizer._GROUPED_TOKENS_RE.pattern
+    plain = re.compile(pattern.replace("*+", "*"))
+    rng = random.Random(7)
+    alphabet = ["f", "g", "x", "9", "_", "(", ")", ",", "@", " ", "\t", "#", "é", "f(x)", "g(f(x),f(y))"]
+    for _ in range(3000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        assert plain.findall(text) == uta.recognizer._GROUPED_TOKENS_RE.findall(text), text
 
 
 # ---------------------------------------------------------------------------

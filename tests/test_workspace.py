@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -291,20 +292,61 @@ def test_line_scanner_matches_the_character_scanner_on_fixtures(path):
     assert _Tokens(text, str(path)).items == _scan_reference(text, str(path))
 
 
-def test_line_scanner_reports_what_the_character_scanner_reports():
+def _corrupted_texts():
+    """400 seeded texts: a fixture with one to three characters or short
+    runs put in at random."""
     rng = random.Random(20261020)
     texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.uta"))] + [PARITY_TEXT]
     pieces = ["$", "!", "-", "a-", "-b", "->", "->-", "--", " ", " ", "\f", "\v", "é", "#", " ", "\t", "\n", "x"]
-    seen = set()
     for _ in range(400):
         text = rng.choice(texts)
         for _ in range(rng.randint(1, 3)):
             i = rng.randint(0, len(text))
             text = text[:i] + rng.choice(pieces) + text[i:]
+        yield text
+
+
+def test_line_scanner_reports_what_the_character_scanner_reports():
+    seen = set()
+    for text in _corrupted_texts():
         got = _scan_outcome(lambda s: _Tokens(s, "w.uta").items, text)
         assert got == _scan_outcome(lambda s: _scan_reference(s, "w.uta"), text)
+        # the one findall finds every character that the scan refuses
+        made = _scan_outcome(lambda s: _Tokens(s, "w.uta") and None, text)
+        assert made == (got if got[0] != "ok" else ("ok", None))
         seen.add(got[0] == "ok")
     assert seen == {True, False}
+
+
+def test_loader_reads_corrupted_characters_as_the_token_by_token_reader():
+    # a character put into a list read as one token: the list is read token
+    # by token, or the text is refused, as the reference reader does
+    seen = set()
+    for text in _corrupted_texts():
+        got = _load_outcome(load_workspace_text, text)
+        assert got == _load_outcome(ref_load_workspace_text, text), text
+        seen.add(got[0] == "ok")
+    assert seen == {True, False}
+
+
+def test_the_loader_reads_each_list_whole():
+    # each list of names or of '->' entries, from its ':' to its ';', is one
+    # token, read off its text and never cut into its tokens again
+    text = (FIXTURES / "xml.uta").read_text(encoding="utf-8")
+    made = []
+
+    class Recorded(_Tokens):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch("uta.workspace._Tokens", Recorded):
+        load_workspace_text(text, "xml.uta")
+    (toks,) = made
+    assert len(toks.tokens) <= 110  # 363 when each name, ':' and '->' was one
+    assert toks.tokens == _Tokens(text, "xml.uta").tokens
+    assert toks.tokens[toks.idx] is None  # every token read
+    assert sum(tok.startswith(":") and tok != ":" for tok in toks.tokens[:-1]) == 19
 
 
 # ---------------------------------------------------------------------------
