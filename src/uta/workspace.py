@@ -47,7 +47,6 @@ _ARROW_ENTRY = {
     width: re.compile(r"\s+".join([f"({_WORD})"] * width) + rf"\s*->\s*({_WORD})")
     for width in (1, 2)
 }
-_ONE_NAME = re.compile(rf"\s*({_NAME})\s*")
 
 
 class WorkspaceError(ValueError):
@@ -219,14 +218,9 @@ def _parse_machine_body(toks: _Tokens, elements, opname, opat):
         if key == "states":
             states = _names(toks)
         elif key == "start":
-            body = toks.list_body()
-            if body is not None and (one := _ONE_NAME.fullmatch(body)):
-                toks.idx += 1
-                start = one[1]
-            else:
-                toks.take(":")
-                start = toks.take_name()
-                toks.take(";")
+            toks.take(":")
+            start = toks.take_name()
+            toks.take(";")
         elif key == "out":
             _arrows(toks, out, "duplicate output for state %s", ("state",), "element")
         elif key == "delta":

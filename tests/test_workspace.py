@@ -331,7 +331,8 @@ def test_loader_reads_corrupted_characters_as_the_token_by_token_reader():
 
 def test_the_loader_reads_each_list_whole():
     # each list of names or of '->' entries, from its ':' to its ';', is one
-    # token, read off its text and never cut into its tokens again
+    # token, read off its text; only a machine's one-name start field is cut
+    # into its ':', name and ';' by take
     text = (FIXTURES / "xml.uta").read_text(encoding="utf-8")
     made = []
 
@@ -343,10 +344,14 @@ def test_the_loader_reads_each_list_whole():
     with mock.patch("uta.workspace._Tokens", Recorded):
         load_workspace_text(text, "xml.uta")
     (toks,) = made
-    assert len(toks.tokens) <= 110  # 363 when each name, ':' and '->' was one
-    assert toks.tokens == _Tokens(text, "xml.uta").tokens
+    fresh = _Tokens(text, "xml.uta").tokens
+    assert len(fresh) <= 110  # 363 when each name, ':' and '->' was one
+    assert sum(tok.startswith(":") and tok != ":" for tok in fresh[:-1]) == 19
+    expected = []
+    for before, tok in zip([None, *fresh], fresh):
+        expected += _TOKEN.findall(tok) if before == "start" else [tok]
+    assert toks.tokens == expected
     assert toks.tokens[toks.idx] is None  # every token read
-    assert sum(tok.startswith(":") and tok != ":" for tok in toks.tokens[:-1]) == 19
 
 
 # ---------------------------------------------------------------------------
