@@ -72,6 +72,15 @@ class RegularAlgebra:
                 if m.out[q] not in carrier:
                     raise AlgebraError(f"machine for {f} emits a non-carrier output")
 
+    @staticmethod
+    def _unchecked(elements: tuple, sigma: tuple, ops: dict) -> "RegularAlgebra":
+        """Stored as given, with no copy or check, for callers that made it
+        whole: distinct elements and operators, ``ops`` keyed by exactly
+        these, each machine reading exactly the elements and emitting them."""
+        alg = object.__new__(RegularAlgebra)
+        alg.__dict__.update(elements=elements, sigma=sigma, ops=ops)
+        return alg
+
 
 def apply_symbol(alg: RegularAlgebra, f: str, word) -> object:
     """The operation of f on a word of carrier elements."""
@@ -180,7 +189,7 @@ def _row_machine(m, rows: dict, letters, order=None) -> MooreMachine:
     if order is None:
         order = _breadth_first(m.start, rows.__getitem__, letters)
     delta = {(q, a): q2 for q in order for a, q2 in zip(letters, rows[q])}
-    return MooreMachine(tuple(order), letters, m.start, delta, {q: m.out[q] for q in order})
+    return MooreMachine._unchecked(tuple(order), letters, m.start, delta, {q: m.out[q] for q in order})
 
 
 class _Outputs(dict):
@@ -213,14 +222,10 @@ class _Product(dict):
 def trivial_algebra(sigma) -> RegularAlgebra:
     """The one-element algebra over the given operators."""
     sigma = tuple(sigma)
-    m = MooreMachine(
-        ("q0",),
-        (TRIVIAL_ELEMENT,),
-        "q0",
-        {("q0", TRIVIAL_ELEMENT): "q0"},
-        {"q0": TRIVIAL_ELEMENT},
-    )
-    return RegularAlgebra((TRIVIAL_ELEMENT,), sigma, {f: m for f in sigma})
+    if not sigma or len(set(sigma)) != len(sigma):
+        raise AlgebraError("operator alphabet must be nonempty and duplicate-free")
+    m = MooreMachine._unchecked(("q0",), (TRIVIAL_ELEMENT,), "q0", {("q0", TRIVIAL_ELEMENT): "q0"}, {"q0": TRIVIAL_ELEMENT})
+    return RegularAlgebra._unchecked((TRIVIAL_ELEMENT,), sigma, {f: m for f in sigma})
 
 
 def g_product(kappa: dict, algebras) -> RegularAlgebra:
@@ -247,16 +252,18 @@ def g_product(kappa: dict, algebras) -> RegularAlgebra:
     machines = [_Product([a.ops[f] for f, a in zip(fs, algebras)]) for fs in kappa.values()]
     reached = _closure(carrier, machines, carrier)[1]
     ops = {g: _row_machine(m, rows, carrier) for g, m, rows in zip(sigma, machines, reached)}
-    return RegularAlgebra(carrier, sigma, ops)
+    return RegularAlgebra._unchecked(carrier, sigma, ops)
 
 
 def derived_algebra(iota: dict, alg: RegularAlgebra) -> RegularAlgebra:
     """Same carrier, operators renamed: the new f acts as iota(f) did."""
     sigma = tuple(iota)
+    if not sigma:
+        raise AlgebraError("operator alphabet must be nonempty and duplicate-free")
     for f, g in iota.items():
         if g not in alg.ops:
             raise AlgebraError(f"iota({f}) = {g!r} is not an operator of the algebra")
-    return RegularAlgebra(alg.elements, sigma, {f: alg.ops[iota[f]] for f in sigma})
+    return RegularAlgebra._unchecked(alg.elements, sigma, {f: alg.ops[iota[f]] for f in sigma})
 
 
 @dataclass(frozen=True)
@@ -421,13 +428,15 @@ def _quotient(alg: RegularAlgebra, theta: Partition, table) -> RegularAlgebra:
     """The quotient by a congruence: the machines of ``_class_algebra``, class
     letter i named by theta's block i and state n named qn."""
     letters = tuple(theta.class_name(b[0]) for b in theta.blocks)
+    if len(set(letters)) != len(letters):  # distinct elements may share a label
+        raise MachineError("duplicate state or letter")
     ops = {}
     for f, m in _class_algebra(alg, theta, table).ops.items():
         names = [f"q{n}" for n in range(len(m.rows))]
         delta = {(q, a): names[n] for q, row in zip(names, m.rows) for a, n in zip(letters, row)}
         out = {q: letters[o] for q, o in zip(names, m.out)}
-        ops[f] = MooreMachine(tuple(names), letters, "q0", delta, out)
-    return RegularAlgebra(letters, alg.sigma, ops)
+        ops[f] = MooreMachine._unchecked(tuple(names), letters, "q0", delta, out)
+    return RegularAlgebra._unchecked(letters, alg.sigma, ops)
 
 
 def quotient_algebra(alg: RegularAlgebra, theta: Partition) -> RegularAlgebra:
@@ -468,7 +477,7 @@ def _merge_operators(quot: RegularAlgebra, sigma_part: Partition) -> RegularAlge
     """One operator per block, named by its class, acting as the block's
     first operator does."""
     ops = {sigma_part.class_name(b[0]): quot.ops[b[0]] for b in sigma_part.blocks}
-    return RegularAlgebra(quot.elements, tuple(ops), ops)
+    return RegularAlgebra._unchecked(quot.elements, tuple(ops), ops)
 
 
 def m_operator(alg: RegularAlgebra, theta: Partition) -> Partition:

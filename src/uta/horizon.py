@@ -56,6 +56,15 @@ class MooreMachine:
                 raise MachineError(f"no output for state {sorted(map(repr, missing))[0]}")
             raise MachineError("output map mentions unknown states")
 
+    @staticmethod
+    def _unchecked(states: tuple, alphabet: tuple, start, delta: dict, out: dict) -> "MooreMachine":
+        """Stored as given, with no copy or check, for callers that made it
+        whole: distinct states holding ``start``, distinct letters, ``delta``
+        total on states x letters into the states, ``out`` total on them."""
+        m = object.__new__(MooreMachine)
+        m.__dict__.update(states=states, alphabet=alphabet, start=start, delta=delta, out=out, letters=frozenset(alphabet))
+        return m
+
     @cached_property
     def columns(self) -> dict:
         """Each letter's column: the state it leads each state to."""

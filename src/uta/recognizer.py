@@ -61,6 +61,15 @@ class Recognizer:
         if not self.finals <= carrier:
             raise RecognizerError("accepting set outside the carrier")
 
+    @staticmethod
+    def _unchecked(algebra: RegularAlgebra, table: SymbolTable, valuation: dict, finals: frozenset) -> "Recognizer":
+        """Stored as given, with no copy or check, for callers that made it
+        whole: the table's operators are the algebra's, the valuation maps
+        exactly its leaves into the carrier, finals a frozenset of elements."""
+        rec = object.__new__(Recognizer)
+        rec.__dict__.update(algebra=algebra, table=table, valuation=valuation, finals=finals)
+        return rec
+
 
 def eval_of(rec: Recognizer, t: Tree):
     validate_tree(rec.table, t)
@@ -198,8 +207,8 @@ def _trim(rec: Recognizer) -> tuple:
         return rec, reached, None
     named = [_breadth_first(alg.ops[f].start, rows.__getitem__, reach) for f, rows in zip(alg.sigma, reached)]
     ops = {f: _row_machine(alg.ops[f], rows, reach, words) for f, rows, words in zip(alg.sigma, reached, named)}
-    alg = RegularAlgebra(reach, alg.sigma, ops)
-    return Recognizer(alg, rec.table, rec.valuation, rec.finals & set(reach)), reached, named
+    alg = RegularAlgebra._unchecked(reach, alg.sigma, ops)
+    return Recognizer._unchecked(alg, rec.table, rec.valuation, rec.finals.intersection(reach)), reached, named
 
 
 def trim(rec: Recognizer) -> Recognizer:
@@ -210,9 +219,7 @@ def trim(rec: Recognizer) -> Recognizer:
 
 
 def complement(rec: Recognizer) -> Recognizer:
-    return Recognizer(
-        rec.algebra, rec.table, rec.valuation, set(rec.algebra.elements) - rec.finals
-    )
+    return Recognizer._unchecked(rec.algebra, rec.table, rec.valuation, frozenset(rec.algebra.elements) - rec.finals)
 
 
 def _check_same_table(rec1: Recognizer, rec2: Recognizer):
@@ -240,8 +247,8 @@ def _pair_recognizer(rec1: Recognizer, rec2: Recognizer, accept) -> Recognizer:
     pairs = [_Product((alg1.ops[f], alg2.ops[f])) for f in sigma]
     carrier, reached = _closure(tuple(product(alg1.elements, alg2.elements)), pairs, valuation.values())
     ops = {f: _row_machine(m, rows, carrier) for f, m, rows in zip(sigma, pairs, reached)}
-    finals = {(a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals)}
-    return Recognizer(RegularAlgebra(carrier, sigma, ops), rec1.table, valuation, finals)
+    finals = frozenset((a, b) for a, b in carrier if accept(a in rec1.finals, b in rec2.finals))
+    return Recognizer._unchecked(RegularAlgebra._unchecked(carrier, sigma, ops), rec1.table, valuation, finals)
 
 
 def intersect(rec1: Recognizer, rec2: Recognizer) -> Recognizer:
@@ -258,10 +265,8 @@ def context_quotient(rec: Recognizer, p: Tree) -> Recognizer:
     validate_tree(rec.table, p, allow_hole=True)
     if not is_context(p):
         raise RecognizerError("context must contain exactly one hole")
-    finals = {
-        a for a in rec.algebra.elements if eval_context(rec, p, a) in rec.finals
-    }
-    return Recognizer(rec.algebra, rec.table, rec.valuation, finals)
+    finals = frozenset(a for a in rec.algebra.elements if eval_context(rec, p, a) in rec.finals)
+    return Recognizer._unchecked(rec.algebra, rec.table, rec.valuation, finals)
 
 
 def inverse_gmorphism_image(rec: Recognizer, m: TermGMorphism) -> Recognizer:
@@ -274,7 +279,7 @@ def inverse_gmorphism_image(rec: Recognizer, m: TermGMorphism) -> Recognizer:
     valuation = {
         x: eval_term(rec.algebra, rec.valuation, m.alpha[x]) for x in m.src.leaves
     }
-    return Recognizer(alg, m.src, valuation, rec.finals)
+    return Recognizer._unchecked(alg, m.src, valuation, rec.finals)
 
 
 def syntactic_of(rec: Recognizer) -> tuple[SyntacticResult, Recognizer]:
@@ -284,14 +289,14 @@ def syntactic_of(rec: Recognizer) -> tuple[SyntacticResult, Recognizer]:
     built.  It accepts the same language; its accepting set is disjunctive."""
     res = _syntactic(rec.algebra, rec.finals, rec.valuation.values())
     valuation = {x: res.morphism[rec.valuation[x]] for x in rec.table.leaves}
-    return res, Recognizer(res.algebra, rec.table, valuation, res.finals_image)
+    return res, Recognizer._unchecked(res.algebra, rec.table, valuation, res.finals_image)
 
 
 def theta_class_recognizer(rec: Recognizer, t: Tree) -> Recognizer:
     """Recognizer of all trees no context can tell apart from t."""
     _res, srec = syntactic_of(rec)
     cls = eval_of(srec, t)
-    return Recognizer(srec.algebra, srec.table, srec.valuation, frozenset({cls}))
+    return Recognizer._unchecked(srec.algebra, srec.table, srec.valuation, frozenset({cls}))
 
 
 def is_empty(rec: Recognizer) -> bool:
@@ -304,7 +309,7 @@ def is_empty(rec: Recognizer) -> bool:
 
 def _node(f: str, d: int, text: str, kids: tuple) -> tuple:
     """(size, rendering, tree) of an f-node over a word (see ``_least_trees``)."""
-    return d + 1, f + "(" + text[:-1] + ")" if kids else f, Tree(f, kids)
+    return d + 1, f + "(" + text[:-1] + ")" if kids else f, Tree._unchecked(f, kids)
 
 
 def _least_trees(rec: Recognizer, stop=frozenset()) -> dict:
@@ -381,15 +386,17 @@ class Infinite:
 
 def size_at_least_recognizer(table: SymbolTable, s: int) -> Recognizer:
     """Recognizer of all trees with at least s nodes (size capped at s)."""
+    if s < 1:
+        raise RecognizerError(f"a size bound must be at least 1, not {s}")
     carrier = tuple(range(1, s + 1))
     ops = {}
     for f in table.operators:
         states = tuple(range(0, s + 1))  # running size sum, capped
         delta = {(c, v): min(c + v, s) for c in states for v in carrier}
         out = {c: min(c + 1, s) for c in states}
-        ops[f] = MooreMachine(states, carrier, 0, delta, out)
-    alg = RegularAlgebra(carrier, tuple(table.operators), ops)
-    return Recognizer(alg, table, {x: 1 for x in table.leaves}, frozenset({s}))
+        ops[f] = MooreMachine._unchecked(states, carrier, 0, delta, out)
+    alg = RegularAlgebra._unchecked(carrier, tuple(table.operators), ops)
+    return Recognizer._unchecked(alg, table, {x: 1 for x in table.leaves}, frozenset({s}))
 
 
 def _word_to(m: MooreMachine, q, target) -> tuple:
@@ -546,7 +553,7 @@ class _PumpingGraph:
             value.update((a, t) for a, (_, _, t) in _least_trees(self.rec).items())
 
         def node(f, head, sub, tail):
-            return Tree(f, tuple(value[a] for a in head) + sub + tuple(value[a] for a in tail))
+            return Tree._unchecked(f, tuple(value[a] for a in head) + sub + tuple(value[a] for a in tail))
 
         def letter(f, q, s):
             return next(a for p, a in self.pred[f][s] if p == q)

@@ -74,6 +74,17 @@ class Tree:
         if self.is_leaf and self.children:
             raise TermError(f"leaf {self.label!r} cannot have children")
 
+    @staticmethod
+    def _unchecked(label: str, children: tuple, is_leaf: bool = False) -> "Tree":
+        """Stored as given, with no copy or check, for callers that made it
+        whole: ``children`` a tuple of trees, and none for a leaf.  Set field
+        by field, as the dataclass does, so that no node gets a dict of its own."""
+        t = object.__new__(Tree)
+        object.__setattr__(t, "label", label)
+        object.__setattr__(t, "children", children)
+        object.__setattr__(t, "is_leaf", is_leaf)
+        return t
+
     def __eq__(self, other):
         """Structural equality, compared pair by pair from a stack of node
         pairs; leaf children are compared in place."""
@@ -778,7 +789,7 @@ class TreeBank:
             need |= new
             new = {c for j in new for c in self.kids[j] if c not in memo} - need
         for j in sorted(need):
-            memo[j] = Tree(self.label[j], tuple([memo[c] for c in self.kids[j]]), self.is_leaf[j])
+            memo[j] = Tree._unchecked(self.label[j], tuple([memo[c] for c in self.kids[j]]), self.is_leaf[j])
         return memo[i]
 
     def drop_last_texts(self) -> None:
@@ -870,7 +881,7 @@ def enumerate_trees(table: SymbolTable, max_size: int, max_arity=None):
     bank = TreeBank(table, max_arity)
     built: list = []
     for i in bank.trees(max_size):
-        built.append(Tree(bank.label[i], tuple([built[c] for c in bank.kids[i]]), bank.is_leaf[i]))
+        built.append(Tree._unchecked(bank.label[i], tuple([built[c] for c in bank.kids[i]]), bank.is_leaf[i]))
         yield built[i]
 
 

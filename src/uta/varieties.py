@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 from .algebra import RegularAlgebra, Translation, _class_algebra, _refine, translation_walk
@@ -46,6 +46,7 @@ from .trees import (
     SymbolTable,
     Tree,
     TreeBank,
+    abstraction_key,
     check_bounds,
     compose,
     op,
@@ -409,6 +410,8 @@ def decide_aperiodic(rec: Recognizer) -> VarietyVerdict:
     """
     alg = rec.algebra
     theta, table = _refine(alg, rec.finals.__contains__, rec.valuation.values())
+    if theta.block_count <= 1:  # one class: the identity is the only translation
+        return VarietyVerdict("Ap", True, "exact", parameter=0)
     ia = 0
     for tr in translation_walk(_class_algebra(alg, theta, table)):
         tail = _power_tail(tr.table)
@@ -492,10 +495,10 @@ def nilpotent_recognizer_for_finite(member_trees, table: SymbolTable) -> Recogni
         delta.update((("over", a), "over") for a in carrier)
         out = {q: built[f].get(q, sink) for q in states}
         out["over"] = sink
-        ops[f] = MooreMachine(tuple(states) + ("over",), carrier, (), delta, out)
-    alg = RegularAlgebra(carrier, tuple(table.operators), ops)
+        ops[f] = MooreMachine._unchecked(tuple(states) + ("over",), carrier, (), delta, out)
+    alg = RegularAlgebra._unchecked(carrier, tuple(table.operators), ops)
     valuation = {x: x if x in nodes else sink for x in table.leaves}
-    return Recognizer(alg, table, valuation, frozenset(finals))
+    return Recognizer._unchecked(alg, table, valuation, frozenset(finals))
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +547,9 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
     doubles from ``_FIRST_CHUNK`` trees up to ``_MAX_CHUNK``, each checked
     before the next, so the sweep stops soon after the first conflict and
     a refutation costs about the trees up to that one; a yes enumerates
-    the whole bound.  The counterexample pairs the first tree of the key
-    group with the first tree that broke it.
+    the whole bound, and a language of one class gets its yes at once.
+    The counterexample pairs the first tree of the key group with the
+    first tree that broke it.
 
     The key groups depend on the table, not the language, so the bank and
     each kind's first-of-group ids are shared across calls for as long as
@@ -556,9 +560,13 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
     quarters of its trees); a larger bound makes them again.
     """
     check_bounds(*bounds)
-    name = kind_name(kind)
+    verdict = partial(VarietyVerdict, kind_name(kind), bounds=tuple(bounds),
+                      parameter=getattr(kind, "k", None), low_parameter=getattr(kind, "h", None))
+    abstraction_key(HOLE_LEAF, kind)  # a bad kind's ValueError, before any answer
     alg = rec.algebra
-    _theta, (col, _states, rows, outs, starts, blocks) = _refine(alg, rec.finals.__contains__, rec.valuation.values())
+    theta, (col, _states, rows, outs, starts, blocks) = _refine(alg, rec.finals.__contains__, rec.valuation.values())
+    if theta.block_count <= 1:  # one class: every tree has the same syntactic value
+        return verdict(True, "bounded")
     # codes: the machines' states, then one per leaf; value[c] is the column
     # of code c's value, which every row reads
     value = outs + [col[rec.valuation[x]] for x in rec.table.leaves]
@@ -597,15 +605,7 @@ def saturation_probe(rec: Recognizer, kind, bounds=DEFAULT_PROBE_BOUNDS) -> Vari
         if counterexample is not None:
             break
     bank.drop_last_texts()
-    return VarietyVerdict(
-        name,
-        counterexample is None,
-        "bounded" if counterexample is None else "refutation",
-        bounds=tuple(bounds),
-        counterexample=counterexample,
-        parameter=getattr(kind, "k", None),
-        low_parameter=getattr(kind, "h", None),
-    )
+    return verdict(counterexample is None, "bounded" if counterexample is None else "refutation", counterexample=counterexample)
 
 
 def decide_variety(rec: Recognizer, kind, bounds=None) -> VarietyVerdict:

@@ -6,7 +6,7 @@ import random
 import re
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations, product
 
 from uta import (
@@ -27,7 +27,7 @@ from uta import algebra, horizon, recognizer, varieties
 from uta.horizon import MachineError, _state_walk, reachable_with_witnesses, state_records
 from uta.trees import KeyParts, TreeBank, check_bounds, parse_term, render
 from uta.recognizer import RecognizerError, _least_trees
-from uta.trees import HOLE_LEAF, plug
+from uta.trees import HOLE_LEAF, plug, subtrees
 from uta.varieties import VarietyVerdict, _context_of_translation, kind_name
 from uta.workspace import _PUNCTUATION, _TOKEN, Workspace, WorkspaceError
 
@@ -145,6 +145,29 @@ def recognizer_data(rec):
         tuple(rec.valuation.items()),
         rec.finals,
     )
+
+
+def assert_rebuilds(x):
+    """The referee of the library's unchecked constructors: x, given as its
+    own parts to its class's checked constructor, comes out equal, field by
+    field and type by type.  An algebra's machines, a recognizer's algebra
+    and every node of a tree are checked so too."""
+    if isinstance(x, Tree):
+        for u in subtrees(x):
+            _assert_same_fields(u, Tree(u.label, u.children, u.is_leaf))
+        return
+    if isinstance(x, RegularAlgebra):
+        for m in x.ops.values():
+            assert_rebuilds(m)
+    elif isinstance(x, Recognizer):
+        assert_rebuilds(x.algebra)
+    _assert_same_fields(x, type(x)(**{f.name: getattr(x, f.name) for f in fields(x) if f.init}))
+
+
+def _assert_same_fields(x, made):
+    for f in fields(x):
+        a, b = getattr(x, f.name), getattr(made, f.name)
+        assert type(a) is type(b) and (a is b or a == b), (type(x).__name__, f.name, a, b)
 
 
 def subsets(xs):
@@ -350,6 +373,24 @@ def counted_namings(monkeypatch):
     for mod in (algebra, recognizer):
         monkeypatch.setattr(mod, "_breadth_first", count)
     return calls
+
+
+def counted_machines(monkeypatch):
+    """Every machine built, through the checked constructor or the unchecked one."""
+    machines = []
+    inner_init, inner_unchecked = MooreMachine.__post_init__, MooreMachine._unchecked
+
+    def init(self):
+        machines.append(self)
+        inner_init(self)
+
+    def unchecked(*args):
+        machines.append(inner_unchecked(*args))
+        return machines[-1]
+
+    monkeypatch.setattr(MooreMachine, "__post_init__", init)
+    monkeypatch.setattr(MooreMachine, "_unchecked", staticmethod(unchecked))
+    return machines
 
 
 WALKS = ("_state_walk", "_product_reach", "reachable_with_witnesses")

@@ -22,13 +22,14 @@ from uta import (
     syntactic_of,
     trim,
 )
-from uta import algebra, horizon, recognizer, syntactic, varieties
+from uta import algebra, recognizer, syntactic, varieties
 from uta.algebra import TRIVIAL_ELEMENT, _class_algebra, _refine, trivial_algebra
 from uta.recognizer import size_at_least_recognizer
 from uta.varieties import _class_trees, _separating_context
 from uta.workspace import load_workspace
 
 from helpers import (
+    counted_machines,
     least_value_trees,
     ref_decide_aperiodic,
     ref_decide_definite,
@@ -76,9 +77,9 @@ def test_verdicts_match_the_named_deciders():
 
 
 def count_work(monkeypatch):
-    """Count ``_refine``, ``_class_algebra`` and ``_quotient`` calls and
-    machines built; refuse ``syntactic_of``."""
-    work = {"_refine": 0, "_class_algebra": 0, "_quotient": 0, "machines": 0}
+    """Count ``_refine``, ``_class_algebra`` and ``_quotient`` calls, and
+    list the machines built; refuse ``syntactic_of``."""
+    work = {"_refine": 0, "_class_algebra": 0, "_quotient": 0}
 
     def counted(mod, name):
         inner = getattr(mod, name)
@@ -96,36 +97,32 @@ def count_work(monkeypatch):
     counted(varieties, "_class_algebra")
     counted(algebra, "_quotient")
     counted(syntactic, "_quotient")
-    inner_init = horizon.MooreMachine.__post_init__
-
-    def init(self):
-        work["machines"] += 1
-        inner_init(self)
-
-    monkeypatch.setattr(horizon.MooreMachine, "__post_init__", init)
     monkeypatch.setattr(recognizer, "syntactic_of", refuse)
-    return work
+    return work, counted_machines(monkeypatch)
 
 
 def test_work_each_verdict_makes(monkeypatch):
     """Every ``def`` and ``ap`` verdict makes one refinement, no quotient
     and no machine, and reads at most one set of class machines; a ``def``
-    at depth 0 reads none (its trees and finals are the classes')."""
+    at depth 0 reads none (its trees and finals are the classes'), and an
+    ``ap`` reads one unless the language has one class."""
     rng = random.Random(1907)
     recs = [untrimmed_recognizer(rng, rng.randint(2, 5), rng.randint(1, 4)) for _ in range(60)]
     recs += fixture_recognizers() + size_counters(6)
-    work = count_work(monkeypatch)
+    work, machines = count_work(monkeypatch)
     seen = set()
     for rec in recs:
+        classes = _refine(rec.algebra, rec.finals.__contains__, rec.valuation.values())[0].block_count
         for k in KS:
             work.update(dict.fromkeys(work, 0))
+            machines.clear()
             verdict = decide_definite(rec, k)
-            assert work["_refine"] == 1 and work["_quotient"] == work["machines"] == 0
+            assert work["_refine"] == 1 and work["_quotient"] == 0 and machines == []
             assert work["_class_algebra"] <= (k != 0)
             seen.add(("Def", k == 0, verdict.holds))
         work.update(dict.fromkeys(work, 0))
         verdict = decide_aperiodic(rec)
-        assert work == {"_refine": 1, "_class_algebra": 1, "_quotient": 0, "machines": 0}
+        assert work == {"_refine": 1, "_class_algebra": int(classes > 1), "_quotient": 0} and machines == []
         seen.add(("Ap", verdict.holds))
     assert len(seen) == 6
 

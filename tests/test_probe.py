@@ -13,7 +13,6 @@ from uta import (
     ReverseDefinite,
     SymbolTable,
     algebra,
-    horizon,
     nilpotent_recognizer_for_finite,
     recognizer,
     saturation_probe,
@@ -24,7 +23,7 @@ from uta import (
 from uta.varieties import _FIRST_CHUNK, _MAX_CHUNK, _PROBE_BANKS, _probe_bank
 from uta.workspace import load_workspace
 
-from helpers import ref_saturation_probe, untrimmed_recognizer
+from helpers import counted_machines, ref_saturation_probe, untrimmed_recognizer
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = (ReverseDefinite(2), GenDefinite(1, 2), LocTestable(2), PwTestable(2))
@@ -96,22 +95,17 @@ def test_refutations_at_the_edges_of_a_chunk():
 def test_probe_refines_once_and_builds_no_quotient(monkeypatch):
     """One refinement per probe; no quotient algebra, syntactic recognizer
     or machine is built."""
-    refines, machines = [], []
-    inner_refine, inner_init = algebra._refine, horizon.MooreMachine.__post_init__
+    refines, machines = [], counted_machines(monkeypatch)
+    inner_refine = algebra._refine
 
     def refine(*args):
         refines.append(args)
         return inner_refine(*args)
 
-    def init(self):
-        machines.append(self)
-        inner_init(self)
-
     def refuse(*args):
         raise AssertionError("no quotient")
 
     monkeypatch.setattr(varieties, "_refine", refine)
-    monkeypatch.setattr(horizon.MooreMachine, "__post_init__", init)
     for mod, name in ((algebra, "_quotient"), (recognizer, "syntactic_of")):
         monkeypatch.setattr(mod, name, refuse)
     ws = load_workspace([str(ROOT / "fixtures" / "bool.uta"), str(ROOT / "tests" / "workspaces" / "untrimmed.uta")])

@@ -44,6 +44,7 @@ from uta import (
 )
 from uta.trees import TermError, TreeBank, subtrees
 from uta.oracle import brute_variety_check, make_universe
+from uta.recognizer import size_at_least_recognizer
 from uta.horizon import run_word, state_records
 from uta.varieties import _PROBE_BANKS, VarietyVerdict, _probe_bank, kind_name
 from uta.workspace import load_workspace
@@ -52,6 +53,7 @@ from helpers import (
     PARITY_TABLE,
     all_trees_rec,
     contains_x,
+    empty_rec,
     parity_algebra,
     parity_odd,
     random_recognizer,
@@ -191,8 +193,6 @@ def test_aperiodic_cycle_witness():
 
 
 def test_degenerate_languages_decide_cleanly():
-    from helpers import empty_rec
-
     for rec in (empty_rec(), all_trees_rec()):
         d = decide_definite(rec)
         assert d.holds and d.parameter == 0
@@ -542,6 +542,12 @@ def _probe_cases(count, seed):
     return [random_recognizer(rng) for _ in range(count)]
 
 
+def _one_class(rec):
+    """Whether the language has one syntactic class: every tree or none is
+    accepted, so a probe answers yes without walking its bank."""
+    return len(syntactic_of(rec)[0].algebra.elements) == 1
+
+
 def _agrees(rec, kind, bounds, memo):
     got = saturation_probe(rec, kind, bounds)
     assert got == _reference_probe(rec, kind, bounds, memo), (rec.table, kind, bounds)
@@ -550,7 +556,9 @@ def _agrees(rec, kind, bounds, memo):
 
 def test_shared_probe_cold_and_warm():
     memo: dict = {}
-    for rec in _probe_cases(5, 131):
+    recs = [rec for rec in _probe_cases(40, 131) if not _one_class(rec)][:5]  # the first 5 draws have one class
+    assert len(recs) == 5
+    for rec in recs:
         for kind in PROBE_KINDS:
             _PROBE_BANKS.clear()
             cold = _agrees(rec, kind, (5, 3), memo)
@@ -564,7 +572,7 @@ def test_shared_probe_extended_past_an_early_refutation():
     on the same table replays that prefix into its groups, extends it
     past the refutation, and finds the conflicts that span the two."""
     memo: dict = {}
-    recs = _probe_cases(60, 137)
+    recs = [rec for rec in _probe_cases(160, 137) if not _one_class(rec)]  # 46 walk the bank
     extended = 0
     for kind in PROBE_KINDS:
         for table in sorted({rec.table for rec in recs}, key=repr):
@@ -592,7 +600,8 @@ def test_shared_probe_extended_past_an_early_refutation():
 
 def test_shared_probe_warmed_by_another_kind():
     memo: dict = {}
-    recs = _probe_cases(4, 139)
+    recs = [rec for rec in _probe_cases(40, 139) if not _one_class(rec)][:4]
+    assert len(recs) == 4
     for rec in recs:
         for warm, kind in zip(PROBE_KINDS, PROBE_KINDS[1:] + PROBE_KINDS[:1]):
             _PROBE_BANKS.clear()
@@ -657,7 +666,7 @@ def test_prefix_states_give_the_machine_runs():
 
 
 def test_dropped_renderings_are_made_again_for_a_larger_bound():
-    rec = all_trees_rec()
+    rec = size_at_least_recognizer(PARITY_TABLE, 2)  # two classes: the probe walks the bank
     _PROBE_BANKS.clear()
     bank = _probe_bank(rec.table, 3)[0]
     for size in (4, 5, 6):
@@ -666,3 +675,23 @@ def test_dropped_renderings_are_made_again_for_a_larger_bound():
     list(bank.trees(7))
     assert bank.text == [render(t) for t in enumerate_trees(rec.table, 7, 3)]
 
+
+def test_one_class_languages_are_answered_without_the_bank():
+    """A language of one syntactic class gets the verdicts that walking the
+    bank and the translations gave it (a bounded yes with the bounds and
+    parameters, ap yes at index 0), and no tree is enumerated; a bad kind
+    is still refused."""
+    memo: dict = {}
+    for rec in (all_trees_rec(), empty_rec()):
+        _PROBE_BANKS.clear()
+        bank = _probe_bank(rec.table, 3)[0]
+        for kind in PROBE_KINDS:
+            got = _agrees(rec, kind, (5, 3), memo)
+            assert got.holds and got.method == "bounded" and got.bounds == (5, 3)
+        assert not bank.label and list(_PROBE_BANKS[rec.table]) == [3]
+        _PROBE_BANKS.clear()
+        assert saturation_probe(rec, ReverseDefinite(2), (4, 2)).holds and not _PROBE_BANKS
+        assert decide_aperiodic(rec) == VarietyVerdict("Ap", True, "exact", parameter=0)
+        for bad in (LocTestable(1), PwTestable(-1), Aperiodic()):
+            with pytest.raises(ValueError):
+                saturation_probe(rec, bad, (4, 3))
